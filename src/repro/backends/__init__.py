@@ -17,24 +17,21 @@ counts, ...) land in ``result.meta``, and baselines that count error
 :class:`~repro.core.result.ErrorReport` entries (message only) so
 ``len(result.errors)``/``result.ok`` stay meaningful.
 
-The legacy ``explore_*``/``brute_force`` functions (here and in
-``repro.baselines``) still work but are deprecated shims over this
-registry's implementations, emit :class:`DeprecationWarning`, and will
-be removed in repro 2.0; the CLI and the benchmark harness route
+The raw baseline implementations stay importable from their
+submodules (``repro.baselines.dpor.explore_dpor`` & co.) with their
+per-baseline result types; the CLI and the benchmark harness route
 through here exclusively.
 """
 
 from __future__ import annotations
 
 import time
-import warnings
 from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Protocol, runtime_checkable
 
 from ..core.config import ExplorationOptions
-from ..core.explorer import Explorer
-from ..core.parallel import verify_parallel
+from ..core.explorer import Explorer, verify
 from ..core.result import ErrorReport, VerificationResult
 from ..lang import Program
 from ..models import MemoryModel, get_model
@@ -126,12 +123,7 @@ def _run_hmc(program, model_name, options, observer) -> VerificationResult:
 def _run_hmc_parallel(program, model_name, options, observer) -> VerificationResult:
     # jobs resolves via options.jobs / REPRO_JOBS; a parallel backend
     # asked to run with one job degenerates to the serial explorer
-    result = verify_parallel(program, model_name, options, observer=observer)
-    if not options.collect_keys:
-        # internal merge bookkeeping; strip at the API boundary (the
-        # result stays mergeable only when the caller opted into keys)
-        result.execution_records = []
-    return result
+    return verify(program, model_name, options=options, observer=observer)
 
 
 def _placeholder_errors(count: int, tool: str) -> list[ErrorReport]:
@@ -304,44 +296,6 @@ register_backend(
         _run_exhaustive,
     )
 )
-
-#: legacy name -> (backend name, raw implementation path); reached via
-#: module ``__getattr__`` so importing the package stays warning-free
-_DEPRECATED_EXPLORERS = {
-    "explore_interleavings": ("interleaving", "explore_interleavings"),
-    "explore_dpor": ("dpor", "explore_dpor"),
-    "explore_store_buffers": ("storebuffer", "explore_store_buffers"),
-    "explore_with_state_hashing": ("statehash", "explore_with_state_hashing"),
-    "brute_force": ("exhaustive", "brute_force"),
-}
-
-
-def __getattr__(name: str):
-    """Deprecated ``explore_*``/``brute_force`` shims.
-
-    These return the raw baseline implementations (per-baseline result
-    types, not :class:`VerificationResult`) for drop-in compatibility,
-    warn :class:`DeprecationWarning`, and will be **removed in repro
-    2.0** — use ``get_backend(name).run(...)`` instead.
-    """
-    try:
-        backend, attr = _DEPRECATED_EXPLORERS[name]
-    except KeyError:
-        raise AttributeError(
-            f"module {__name__!r} has no attribute {name!r}"
-        ) from None
-    warnings.warn(
-        f"repro.backends.{name} is deprecated and will be removed in "
-        f"repro 2.0; use repro.backends.get_backend({backend!r})"
-        f".run(...) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    import importlib
-
-    module = importlib.import_module(f"..baselines.{backend}", __name__)
-    return getattr(module, attr)
-
 
 __all__ = [
     "Backend",

@@ -500,7 +500,8 @@ def verify(
     :class:`repro.obs.Observer` to collect phase timings and a trace.
 
     With ``jobs=N`` (N > 1, or 0 for one worker per CPU) the search is
-    sharded over a process pool (see :mod:`repro.core.parallel`);
+    sharded over a process pool (see :mod:`repro.core.parallel`) unless
+    ``deduplicate=False`` keeps it serial;
     exhaustive parallel runs report the same ``executions``/``blocked``
     /``outcomes`` as serial ones.  Runs bounded by ``max_executions``
     or ``max_explored`` shard too: the workers share one global budget,
@@ -509,12 +510,7 @@ def verify(
     DFS-order prefix).
     """
     options = resolve_options(options, option_overrides)
-    if (
-        effective_jobs(options) > 1
-        # the merge reconciles by canonical key, so a run that
-        # explicitly disabled deduplication must stay serial
-        and options.deduplicate is not False
-    ):
+    if effective_jobs(options) > 1:
         from .parallel import verify_parallel
 
         result = verify_parallel(program, model, options, observer=observer)

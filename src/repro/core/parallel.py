@@ -1,5 +1,5 @@
-"""Parallel subtree exploration: fault-tolerant work-sharding over a
-process pool.
+"""Parallel subtree exploration: the pieces of the fault-tolerant
+work-sharding pipeline, and :func:`verify_parallel`.
 
 HMC's search is a pure function of the execution graph: once the DFS
 branches (over rf sources, co positions, or backward revisits), the
@@ -10,42 +10,25 @@ CPython's GIL makes threads useless for this CPU-bound search, hence
 ``multiprocessing``: task descriptors and results cross the process
 boundary by pickling.
 
-The engine has three phases:
+The pipeline has one implementation, the suite scheduler
+(:func:`repro.suite.scheduler.run_suite`); this module holds the parts
+it is built from:
 
-1. **Split** — the coordinator expands the DFS root breadth-first,
-   re-splitting the shallowest branch points until at least
-   ``jobs × oversubscription`` independent subtree prefixes exist (or
-   the whole search completes during splitting, in which case no pool
-   is spawned at all).  Completions, blocked graphs and errors hit
-   while splitting are recorded in the coordinator's partial result.
-2. **Dispatch** — each prefix becomes a pickled
-   ``(index, attempt, program, model, options, prefix graph, trace
-   path)`` task; workers resume the DFS from the prefix
-   (``Explorer(root=...)``) with per-worker dedup and
-   revisit-memoisation state, and tracing (when enabled) to a
-   per-worker JSONL file.  Dispatch is supervised: every task is an
-   ``apply_async`` handle the coordinator polls, so a worker that
-   raises, is killed (SIGKILL), or hangs past
-   ``ExplorationOptions.task_timeout`` is detected, the task is
-   retried up to ``task_retries`` times, and a task that keeps failing
-   is re-explored *serially in the coordinator* — the run still
-   returns a complete, deterministic result instead of raising or
-   wedging.
-3. **Merge** — worker results are combined in deterministic task order
-   with :meth:`VerificationResult.merge`.  Executions are reconciled by
-   canonical key (a graph completed in two subtrees counts once, with
-   the re-discovery reported as a duplicate), counters are summed, and
-   worker trace records are folded back into the coordinator's trace so
-   ``repro trace-summary`` still reconciles.
+* :func:`split_frontier` expands the DFS root breadth-first into at
+  least ``jobs × oversubscription`` independent subtree prefixes;
+* :class:`PoolSupervisor` dispatches pickled jobs over one process
+  pool and survives workers that raise, are killed (SIGKILL) or hang
+  past ``task_timeout``: a failing job is retried up to
+  ``task_retries`` times and then handed back for serial re-execution
+  in the coordinator;
+* :class:`GlobalBudget` makes ``max_executions``/``max_explored`` hold
+  for the **merged** result of a sharded run (shared
+  ``multiprocessing`` counters every worker draws from);
+* :func:`_fold_worker_traces` re-emits per-worker trace files into the
+  coordinator's trace so ``repro trace-summary`` still reconciles.
 
-``max_executions``/``max_explored`` hold for the **merged** result: the
-coordinator charges the split phase against a :class:`GlobalBudget`
-(shared ``multiprocessing`` counters) and every worker draws execution
-/explored units from the same budget, stopping early once it drains.
-``truncated`` is set exactly when a limit actually bit somewhere.
-
-``stop_on_error`` is propagated by cancelling outstanding tasks as
-soon as any worker reports an assertion failure.
+:func:`verify_parallel` is a one-task suite: the same code path serves
+the CLI, the library, the backends and the verification service.
 
 Determinism guarantee (see docs/PARALLEL.md): for exhaustive searches
 (no ``max_executions``/``max_explored``, deduplication on) the merged
@@ -53,7 +36,7 @@ Determinism guarantee (see docs/PARALLEL.md): for exhaustive searches
 serial run's, because the subtree prefixes partition the serial DFS
 tree and completions are deduplicated by the same canonical key serial
 exploration uses.  Retries and serial fallback preserve this: subtree
-tasks are pure functions, so re-running one yields the identical
+jobs are pure functions, so re-running one yields the identical
 sub-result.
 """
 
@@ -67,39 +50,14 @@ from collections import deque
 from dataclasses import dataclass, field, replace
 
 from ..graphs import ExecutionGraph
+from ..graphs.incremental import configure_from_env
 from ..lang import Program
 from ..models import MemoryModel, get_model
-from ..obs import NULL_OBSERVER, FileSink, Observer, read_trace_prefix
-from ..obs.spans import NULL_TRACER, SpanTracer
+from ..obs import NULL_OBSERVER, read_trace_prefix
 from ..obs.profile import activation as _profile_activation
 from .config import ExplorationOptions
 from .explorer import Explorer, _SearchLimit, effective_jobs
 from .result import VerificationResult, merge_phase_times
-
-#: a pickled unit of work: (task index, attempt number, program, model
-#: spec, options, subtree prefix graph, worker trace path or None,
-#: collect-metrics flag, span context or None).  The model spec is the
-#: registry name for registered models, and the pickled model object
-#: itself otherwise (e.g. a CatModel loaded from a ``.cat`` file) —
-#: workers hand either form to the Explorer.  When the collect-metrics
-#: flag is set the worker runs observed (even without tracing) and
-#: returns a picklable metrics snapshot for the coordinator to fold
-#: back.  The span context is the coordinator's propagation token
-#: (``{"trace_id", "span_id"}``, see :mod:`repro.obs.spans`): when
-#: present the worker records spans for its subtree under that parent
-#: and returns them alongside the snapshot.
-SubtreeTask = tuple[
-    int,
-    int,
-    Program,
-    "str | MemoryModel",
-    ExplorationOptions,
-    ExecutionGraph,
-    "str | None",
-    bool,
-    "dict | None",
-]
-
 
 def _model_spec(model: MemoryModel) -> "str | MemoryModel":
     """What to ship to workers for ``model``: its name when the
@@ -112,11 +70,20 @@ def _model_spec(model: MemoryModel) -> "str | MemoryModel":
         return model
     return model.name if registered is model else model
 
+
 #: test-only fault injection hook (see ``_maybe_inject_fault``)
 FAULT_ENV = "REPRO_FAULT_INJECT"
 
 #: seconds between coordinator supervision polls
 _POLL_INTERVAL = 0.01
+
+#: :attr:`PoolSupervisor.acct` before anything went wrong
+NO_FAULTS = {
+    "tasks_failed": 0,
+    "tasks_retried": 0,
+    "tasks_timeout": 0,
+    "workers_lost": 0,
+}
 
 
 class GlobalBudget:
@@ -225,10 +192,12 @@ def split_frontier(
         [ExecutionGraph(program.location_bases())]
     )
     aborted = False
+    # _step bypasses Explorer.run(), so the per-run environment read
+    # (REPRO_INCREMENTAL) and the profile hook used by the observer-less
+    # hot paths (graph_cached memoisation) are set up here
+    configure_from_env()
     coordinator.model.set_observer(observer)
     try:
-        # _step bypasses Explorer.run(), so the profile hook used by the
-        # observer-less hot paths (graph_cached memoisation) is armed here
         with _profile_activation(observer):
             while frontier and len(frontier) < target:
                 graph = frontier.popleft()
@@ -247,18 +216,6 @@ def split_frontier(
     finally:
         coordinator.model.set_observer(NULL_OBSERVER)
     return list(frontier), coordinator.result, aborted
-
-
-# -- worker side -----------------------------------------------------------
-
-#: the shared budget, installed per worker by the pool initializer
-#: (shared ctypes cannot ride along inside pickled task tuples)
-_WORKER_BUDGET: GlobalBudget | None = None
-
-
-def _init_worker(budget: GlobalBudget | None) -> None:
-    global _WORKER_BUDGET
-    _WORKER_BUDGET = budget
 
 
 def _maybe_inject_fault(index: int, attempt: int) -> None:
@@ -294,74 +251,7 @@ def _maybe_inject_fault(index: int, attempt: int) -> None:
         raise RuntimeError(f"injected fault in task {index}")
 
 
-def _run_subtree(
-    task: SubtreeTask,
-) -> tuple[int, int, VerificationResult, "dict | None", "list | None"]:
-    """Worker entry point: explore one subtree prefix to exhaustion.
-
-    Returns ``(index, attempt, result, metrics snapshot, spans)`` —
-    the snapshot is a plain picklable dict (or None when the
-    coordinator runs unobserved) the coordinator merges into its own
-    registry, so worker-side counters/histograms survive the process
-    boundary; ``spans`` (or None when untraced) are this subtree's
-    finished span records, folded back with ``tracer.absorb`` so one
-    trace_id covers coordinator and workers.
-    """
-    index, attempt, program, model_spec, options, prefix, trace_path, \
-        collect_metrics, span_ctx = task
-    _maybe_inject_fault(index, attempt)
-    tracer = NULL_TRACER
-    if span_ctx is not None:
-        tracer = SpanTracer(
-            trace_id=span_ctx["trace_id"],
-            remote_parent=span_ctx["span_id"],
-        )
-    observer = NULL_OBSERVER
-    if trace_path is not None:
-        observer = Observer.to_file(trace_path)
-        if tracer.enabled:
-            observer.tracer = tracer
-            observer.metrics.tracer = tracer
-    elif collect_metrics or tracer.enabled:
-        observer = Observer(tracer=tracer)
-    try:
-        with tracer.span(
-            f"subtree:{index}", cat="worker", task=index, attempt=attempt
-        ):
-            result = Explorer(
-                program,
-                model_spec,
-                options,
-                observer=observer,
-                root=prefix,
-                budget=_WORKER_BUDGET,
-            ).run()
-    finally:
-        observer.close()
-    snapshot = observer.metrics_snapshot() if collect_metrics else None
-    spans = tracer.snapshot() if tracer.enabled else None
-    return index, attempt, result, snapshot, spans
-
-
-# -- coordinator side ------------------------------------------------------
-
-
-def _worker_trace_base(observer) -> str | None:
-    """The coordinator's trace file path, when it traces to a file."""
-    trace = getattr(observer, "trace", None)
-    if trace is not None and isinstance(trace.sink, FileSink):
-        return trace.sink.path
-    return None
-
-
-def _trace_path(base: str | None, index: int, attempt: int) -> str | None:
-    """Per-attempt worker trace path (retries must not clobber the
-    evidence a failed attempt left behind)."""
-    if base is None:
-        return None
-    if attempt == 0:
-        return f"{base}.worker{index}"
-    return f"{base}.worker{index}.retry{attempt}"
+# -- the supervised pool ---------------------------------------------------
 
 
 @dataclass
@@ -409,11 +299,10 @@ class PoolSupervisor:
     dispatch with crash/hang detection, bounded retries, and a serial
     fallback list.
 
-    Both the subtree-parallel explorer (:func:`verify_parallel`) and
-    the batch suite engine (:mod:`repro.suite`) run their work through
-    one of these, so the PR-3 fault semantics — timeout, retry, budget,
-    graceful degradation — hold identically for a single sharded
-    verification and for an N-task suite sharing one pool.
+    The suite scheduler (:mod:`repro.suite`) runs every pool job
+    through one of these — the shards of a single ``verify(jobs=N)``
+    call as well as an N-task suite — so the fault semantics (timeout,
+    retry, graceful degradation) hold identically for both.
 
     Work is described, not owned: callers pass a picklable worker
     function plus a mapping ``index -> payload factory``; the factory
@@ -473,12 +362,7 @@ class PoolSupervisor:
         self.fallback: list[int] = []
         self.stopped = False
         self.cancelled = 0
-        self.acct = {
-            "tasks_failed": 0,
-            "tasks_retried": 0,
-            "tasks_timeout": 0,
-            "workers_lost": 0,
-        }
+        self.acct = dict(NO_FAULTS)
         self.states: dict[int, _TaskState] = {}
         self.pool = None
         self._known_pids = None
@@ -546,12 +430,7 @@ class PoolSupervisor:
         self.fallback = []
         self.stopped = False
         self.cancelled = 0
-        self.acct = {
-            "tasks_failed": 0,
-            "tasks_retried": 0,
-            "tasks_timeout": 0,
-            "workers_lost": 0,
-        }
+        self.acct = dict(NO_FAULTS)
         outstanding = set(self.states)
         if self.pool is None:
             self._new_pool()
@@ -695,26 +574,25 @@ def verify_parallel(
     """Verify ``program`` by sharding the search over worker processes.
 
     ``jobs`` defaults to the resolution of ``options.jobs`` /
-    ``REPRO_JOBS`` (0 means one worker per CPU).  Falls back to the
-    serial explorer when only one job is requested.
-
-    Fault tolerance (see docs/PARALLEL.md): crashed, killed or hung
-    workers are detected, their tasks retried up to
-    ``options.task_retries`` times and finally re-explored serially in
-    the coordinator, so the merged result is complete even under
-    worker faults.  ``max_executions``/``max_explored`` are enforced
-    globally through a shared :class:`GlobalBudget`.  The returned
-    result keeps its ``execution_records`` (it is ``keyed``) so it can
-    be merged again safely; the public :func:`repro.core.verify` entry
-    point strips them at the API boundary.
+    ``REPRO_JOBS`` (0 means one worker per CPU).  One job, or
+    ``deduplicate=False`` (the merge reconciles by canonical key),
+    runs the serial explorer.  Otherwise this is a one-task
+    :func:`~repro.suite.scheduler.run_suite` (docs/PARALLEL.md):
+    crashed, killed or hung workers are retried and finally re-explored
+    serially, and ``max_executions``/``max_explored`` hold for the
+    merged result through a :class:`GlobalBudget`.  The returned result
+    keeps its ``execution_records`` (it is ``keyed``) so it can be
+    merged again safely; :func:`repro.core.verify` strips them at the
+    API boundary.
     """
+    from ..suite.scheduler import SuiteTask, run_suite
+
     options = options or ExplorationOptions()
     model = get_model(model) if isinstance(model, str) else model
-    if jobs is None:
-        jobs = effective_jobs(options)
-    elif jobs == 0:
-        jobs = os.cpu_count() or 1
-    if jobs <= 1:
+    if jobs is not None:
+        options = replace(options, jobs=jobs)
+    jobs = effective_jobs(options)
+    if jobs <= 1 or options.deduplicate is False:
         return Explorer(program, model, options, observer=observer).run()
     start = time.perf_counter()
     obs = observer
@@ -726,227 +604,37 @@ def verify_parallel(
             threads=program.num_threads,
             jobs=jobs,
         )
-    target = jobs * options.oversubscription
-    # workers (and the splitting coordinator) record per-execution
-    # canonical keys so the merge can reconcile cross-worker duplicates
-    split_options = replace(options, collect_keys=True, jobs=None)
-    frontier, merged, aborted = split_frontier(
-        program, model, split_options, target, observer=obs
-    )
-    ctx = multiprocessing.get_context()
-    budget = None
-    if options.max_executions is not None or options.max_explored is not None:
-        # charge what the split phase already consumed; workers share
-        # the remainder
-        budget = GlobalBudget(
-            options.max_executions,
-            options.max_explored,
-            executions_used=merged.executions,
-            explored_used=merged.explored,
-            ctx=ctx,
-        )
-    # workers draw from the global budget instead of each applying the
-    # whole limit locally (the PR-2 engine overshot by tasks × limit)
-    worker_options = replace(
-        split_options, max_executions=None, max_explored=None
-    )
-    trace_base = _worker_trace_base(obs)
-    supervisor = None
-    cancelled = 0
-    worker_results: dict[int, VerificationResult] = {}
-    snapshots: dict[int, dict] = {}
-    winning_paths: dict[int, str] = {}
-    if not aborted and frontier:
-        if obs.trace_enabled:
-            obs.emit("parallel_dispatch", tasks=len(frontier), jobs=jobs)
-        supervisor = PoolSupervisor(
-            ctx,
-            processes=min(jobs, len(frontier)),
-            task_timeout=options.task_timeout,
-            task_retries=options.task_retries,
-            initializer=_init_worker,
-            initargs=(budget,),
-            observer=obs,
-        )
-        collect_metrics = obs.enabled
-        model_spec = _model_spec(model)
-        # the propagation token workers parent their subtree spans on;
-        # None (no tracer) keeps the task payload span-free.  With a
-        # tracer but no active span the workers still join the trace,
-        # their subtree spans becoming roots of it.
-        span_ctx = None
-        if obs.tracer.enabled:
-            span_ctx = obs.tracer.current_context() or {
-                "trace_id": obs.tracer.trace_id,
-                "span_id": None,
-            }
-
-        def _payload(index: int, prefix: ExecutionGraph):
-            def make(attempt: int) -> SubtreeTask:
-                return (
-                    index,
-                    attempt,
-                    program,
-                    model_spec,
-                    worker_options,
-                    prefix,
-                    _trace_path(trace_base, index, attempt),
-                    collect_metrics,
-                    span_ctx,
-                )
-
-            return make
-
-        def _on_result(index: int, value) -> bool:
-            _, attempt, result, snapshot, spans = value
-            worker_results[index] = result
-            if snapshot is not None:
-                snapshots[index] = snapshot
-            if spans:
-                obs.tracer.absorb(spans)
-            path = _trace_path(trace_base, index, attempt)
-            if path is not None:
-                winning_paths[index] = path
-            return bool(options.stop_on_error and result.errors)
-
-        supervisor.run(
-            _run_subtree,
-            {i: _payload(i, p) for i, p in enumerate(frontier)},
-            _on_result,
-        )
-        cancelled = supervisor.cancelled
-        # graceful degradation: subtrees whose tasks kept failing are
-        # re-explored serially right here, so the run still returns a
-        # complete deterministic result
-        for position, index in enumerate(supervisor.fallback):
-            if obs.trace_enabled:
-                obs.emit("task_fallback", task=index)
-            # the fallback explorer gets its *own* registry (not the
-            # coordinator's): its result.phase_times must cover only
-            # this subtree, and VerificationResult.merge folds them in
-            # — sharing the coordinator registry would double-count.
-            # Counters/histograms travel by snapshot, like a worker's.
-            fb_obs = NULL_OBSERVER
-            if obs.enabled:
-                # the coordinator's tracer is shared (spans are append-
-                # only, unlike phase timers, so no double-count risk):
-                # the fallback subtree's phases land on the same trace
-                fb_obs = Observer(
-                    trace=obs.trace if obs.trace_enabled else None,
-                    tracer=obs.tracer if obs.tracer.enabled else None,
-                )
-            with obs.tracer.span(
-                f"subtree:{index}", cat="worker", task=index, fallback=True
-            ):
-                worker_results[index] = Explorer(
-                    program,
-                    model,
-                    worker_options,
-                    observer=fb_obs,
-                    root=frontier[index],
-                    budget=budget,
-                ).run()
-            if fb_obs.enabled:
-                snapshots[index] = fb_obs.metrics_snapshot()
-            if options.stop_on_error and worker_results[index].errors:
-                cancelled += len(supervisor.fallback) - position - 1
-                break
-    for index in sorted(worker_results):
-        merged = merged.merge(worker_results[index])
-    if supervisor is not None and obs.enabled:
-        # fold worker-side counters/histograms into the coordinator's
-        # registry (phases already arrived through result.phase_times)
-        for index in sorted(snapshots):
-            obs.metrics.merge_snapshot(snapshots[index])
-        skew = _worker_skew(worker_results)
-        if skew is not None:
-            merged.meta["worker_skew"] = skew
-        if obs.trace_enabled:
-            for index in sorted(worker_results):
-                sub = worker_results[index]
-                obs.emit(
-                    "worker_metrics",
-                    worker=index,
-                    executions=sub.executions,
-                    blocked=sub.blocked,
-                    errors=len(sub.errors),
-                    elapsed=round(sub.elapsed, 6),
-                )
-    if supervisor is not None and trace_base is not None:
-        _fold_worker_traces(obs, sorted(winning_paths.items()))
-    merged.elapsed = time.perf_counter() - start
-    merged.truncated = (
-        merged.truncated
-        or cancelled > 0
-        or (budget is not None and budget.limit_hit)
-    )
-    acct = (
-        supervisor.acct
-        if supervisor is not None
-        else {
-            "tasks_failed": 0,
-            "tasks_retried": 0,
-            "tasks_timeout": 0,
-            "workers_lost": 0,
-        }
-    )
-    merged.meta.update(
-        {
-            "jobs": jobs,
-            "tasks": len(frontier) if not aborted else 0,
-            "tasks_cancelled": cancelled,
-            "tasks_fallback": sum(
-                1 for i in supervisor.fallback if i in worker_results
-            )
-            if supervisor is not None
-            else 0,
-            "oversubscription": options.oversubscription,
-            **acct,
-        }
-    )
-    if budget is not None:
-        merged.meta.update(budget.snapshot())
+    task = SuiteTask(program, model, replace(options, collect_keys=True))
+    result = run_suite(
+        [task],
+        jobs=jobs,
+        cache=False,
+        task_timeout=options.task_timeout,
+        task_retries=options.task_retries,
+        observer=obs,
+        shard_threshold=0,
+    ).tasks[0].result
+    result.elapsed = time.perf_counter() - start
     if obs.enabled:
-        merged.phase_times = merge_phase_times(
-            merged.phase_times, obs.phase_report()
+        # the split phase ran on the coordinator's own registry
+        result.phase_times = merge_phase_times(
+            result.phase_times, obs.phase_report()
         )
         obs.emit(
             "run_end",
-            executions=merged.executions,
-            blocked=merged.blocked,
-            duplicates=merged.duplicates,
-            errors=len(merged.errors),
-            truncated=merged.truncated,
-            elapsed=round(merged.elapsed, 6),
-            stats=merged.stats.as_dict(),
-            phases=merged.phase_times,
+            executions=result.executions,
+            blocked=result.blocked,
+            duplicates=result.duplicates,
+            errors=len(result.errors),
+            truncated=result.truncated,
+            elapsed=round(result.elapsed, 6),
+            stats=result.stats.as_dict(),
+            phases=result.phase_times,
             jobs=jobs,
-            tasks=merged.meta["tasks"],
+            tasks=result.meta["tasks"],
         )
-        obs.finish(executions=merged.executions, blocked=merged.blocked)
-    return merged
-
-
-def _worker_skew(worker_results: dict[int, VerificationResult]) -> dict | None:
-    """Load-balance summary across subtree tasks: how unevenly the
-    search was carved up.  ``max/mean`` executions is the headline
-    number — 1.0 means perfectly balanced shards, large values mean one
-    subtree dominated the run (`trace-summary` surfaces the same figure
-    from ``worker_metrics`` records)."""
-    if not worker_results:
-        return None
-    executions = [r.executions for r in worker_results.values()]
-    elapsed = [r.elapsed for r in worker_results.values()]
-    mean = sum(executions) / len(executions)
-    return {
-        "tasks": len(executions),
-        "min_executions": min(executions),
-        "max_executions": max(executions),
-        "mean_executions": round(mean, 3),
-        "imbalance": round(max(executions) / mean, 3) if mean else 1.0,
-        "min_elapsed": round(min(elapsed), 6),
-        "max_elapsed": round(max(elapsed), 6),
-    }
+        obs.finish(executions=result.executions, blocked=result.blocked)
+    return result
 
 
 def _fold_worker_traces(observer, indexed_paths: list[tuple[int, str]]) -> None:

@@ -23,7 +23,7 @@ tracing is off (the same <5% budget the observer holds).
 
 Context crosses process boundaries as a **propagation token** — a
 plain picklable dict ``{"trace_id": ..., "span_id": ...}`` riding the
-existing payload tuples (``SubtreeTask``, suite job payloads).  The
+existing payload tuples (the suite's pool job payloads).  The
 worker builds its own :class:`SpanTracer` adopting the remote parent,
 returns ``tracer.snapshot()`` with its result, and the coordinator
 folds the segments back with :meth:`SpanTracer.absorb` — the same

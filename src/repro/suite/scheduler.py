@@ -1,10 +1,12 @@
-"""The batch execution engine: one persistent pool for a whole suite.
+"""The batch execution engine, and the one shard/merge path.
 
 ``run_suite`` takes an arbitrary mix of tasks — litmus tests, programs,
 declarative ``.cat`` models, per-task options — and drives them all
 through **one** :class:`~repro.core.parallel.PoolSupervisor`, instead
-of spinning a pool up and down per verification the way N individual
-``verify(jobs=...)`` calls would.  Scheduling is task-level:
+of spinning a pool up and down per verification.  It is also the only
+implementation of subtree sharding: ``verify(jobs=N)`` is a one-task
+suite (:func:`~repro.core.parallel.verify_parallel`).  Scheduling is
+task-level:
 
 * Each task is first looked up in the content-addressed
   :class:`~repro.suite.cache.ResultCache`; hits are served without
@@ -13,15 +15,20 @@ of spinning a pool up and down per verification the way N individual
 * Cache misses are sized with the paper's Knuth-style exploration
   estimator (:func:`~repro.core.estimate.estimate_explorations`) and
   dispatched **longest-expected-first**, so a big task never starts
-  last and leaves the pool idling behind it.
-* A task whose estimate crosses ``shard_threshold`` (and whose options
-  permit it: no execution budget, deduplication on) is split into
-  subtree shards via :func:`~repro.core.parallel.split_frontier`, the
-  same mechanism ``verify(jobs=N)`` uses; small tasks run whole, one
-  task per worker.  All shards and whole tasks share the same pool and
-  the same PR-3 fault semantics (timeout, retry, serial fallback).
+  last and leaves the pool idling behind it.  A lone miss with
+  ``shard_threshold=0`` skips the estimate.
+* A task whose estimate crosses ``shard_threshold`` (deduplication on)
+  is split into subtree shards via
+  :func:`~repro.core.parallel.split_frontier`; small tasks run whole,
+  one task per worker.  All shards and whole tasks share the same pool
+  and the same fault semantics (timeout, retry, serial fallback).  A
+  budgeted sharded task draws from its own
+  :class:`~repro.core.parallel.GlobalBudget`, and a ``stop_on_error``
+  sharded task stops at its first erroring shard without stopping the
+  other tasks.
 
-Results are finalised *as they complete* — merged (for sharded tasks),
+Results are finalised *as they complete* — merged (for sharded tasks,
+with their parallel accounting and folded worker traces),
 probe-evaluated (for litmus tasks) with
 :func:`~repro.litmus.runner.verdict_from_result` so batched verdicts
 are bit-identical to individual :func:`~repro.litmus.run_litmus`
@@ -40,7 +47,10 @@ from ..core.config import ExplorationOptions, resolve_options
 from ..core.estimate import estimate_explorations
 from ..core.explorer import Explorer, effective_jobs
 from ..core.parallel import (
+    NO_FAULTS,
+    GlobalBudget,
     PoolSupervisor,
+    _fold_worker_traces,
     _maybe_inject_fault,
     _model_spec,
     split_frontier,
@@ -56,7 +66,7 @@ from ..litmus.runner import (
     verdict_from_result,
 )
 from ..models import MemoryModel, get_model
-from ..obs import NULL_OBSERVER, Observer
+from ..obs import NULL_OBSERVER, FileSink, Observer, TraceWriter
 from ..obs.spans import NULL_TRACER, SpanTracer
 from .cache import ResultCache, task_key
 from .result import SuiteResult, TaskResult
@@ -154,20 +164,34 @@ def litmus_matrix(
 
 # -- worker side -----------------------------------------------------------
 
+#: the shared budgets of budgeted sharded plans (plan position ->
+#: GlobalBudget), installed per worker by the pool initializer (shared
+#: ctypes cannot ride along inside pickled payloads)
+_WORKER_BUDGETS: dict = {}
+
+
+def _init_worker(budgets: dict) -> None:
+    global _WORKER_BUDGETS
+    _WORKER_BUDGETS = budgets
+
 
 def _run_suite_job(payload):
     """Pool entry point: run one whole task or one subtree shard.
 
     ``payload`` is ``(job, attempt, program, model_spec, options,
-    prefix, collect_metrics, span_ctx)``; ``prefix`` None means explore
-    the whole program.  Returns ``(result, metrics snapshot | None,
-    spans | None)`` — when a span context rides in, the worker's
+    prefix, budget_key, trace_path, collect_metrics, span_ctx)``;
+    ``prefix`` None means explore the whole program, ``budget_key``
+    looks up the plan's :class:`~repro.core.parallel.GlobalBudget`
+    (none installed: the options' own limits apply), and
+    ``trace_path`` (set when the coordinator traces to a file) is where
+    this attempt writes its own trace.  Returns ``(result, metrics snapshot | None, spans | None,
+    trace_path)`` — when a span context rides in, the worker's
     exploration (and every phase inside it, via the registry's tracer)
     is recorded as spans parented on the coordinator's suite-task span
     and shipped back for the coordinator to absorb.
     """
-    job, attempt, program, model_spec, options, prefix, collect, \
-        span_ctx = payload
+    job, attempt, program, model_spec, options, prefix, budget_key, \
+        trace_path, collect, span_ctx = payload
     _maybe_inject_fault(job, attempt)
     tracer = NULL_TRACER
     if span_ctx is not None:
@@ -175,23 +199,30 @@ def _run_suite_job(payload):
             trace_id=span_ctx["trace_id"],
             remote_parent=span_ctx["span_id"],
         )
-    observer = (
-        Observer(tracer=tracer)
-        if collect or tracer.enabled
-        else NULL_OBSERVER
-    )
+    observer = NULL_OBSERVER
+    if trace_path is not None:
+        observer = Observer(
+            trace=TraceWriter(FileSink(trace_path)), tracer=tracer
+        )
+    elif collect or tracer.enabled:
+        observer = Observer(tracer=tracer)
     try:
         with tracer.span(
             f"explore:{program.name}", cat="worker", job=job, attempt=attempt
         ):
             result = Explorer(
-                program, model_spec, options, observer=observer, root=prefix
+                program,
+                model_spec,
+                options,
+                observer=observer,
+                root=prefix,
+                budget=_WORKER_BUDGETS.get(budget_key),
             ).run()
     finally:
         observer.close()
     snapshot = observer.metrics_snapshot() if collect else None
     spans = tracer.snapshot() if tracer.enabled else None
-    return result, snapshot, spans
+    return result, snapshot, spans, trace_path
 
 
 # -- coordinator side ------------------------------------------------------
@@ -207,9 +238,51 @@ class _Plan:
     estimate: float = 0.0
     prefixes: list | None = None  #: subtree shards; None = run whole
     partial: VerificationResult | None = None  #: accumulated while splitting
-    pieces: dict = field(default_factory=dict)  #: shard index -> result
-    remaining: int = 0  #: outstanding pool jobs
+    budget: GlobalBudget | None = None  #: shared limit of a sharded plan
+    pieces: dict = field(default_factory=dict)  #: job index -> result
+    traces: dict = field(default_factory=dict)  #: job -> worker trace file
+    remaining: int = 0  #: pool jobs not yet collected
+    fallbacks: int = 0  #: shards re-run inline after their retries ran out
+    done: bool = False  #: finalised (completed, or stopped on an error)
     span: dict | None = None  #: the open suite-task span (tracer on)
+
+
+def _worker_trace_base(observer) -> str | None:
+    """The coordinator's trace file path, when it traces to a file."""
+    trace = getattr(observer, "trace", None)
+    if trace is not None and isinstance(trace.sink, FileSink):
+        return trace.sink.path
+    return None
+
+
+def _trace_path(base: str | None, job: int, attempt: int) -> str | None:
+    """Per-attempt worker trace path (retries must not clobber the
+    evidence a failed attempt left behind)."""
+    if base is None:
+        return None
+    if attempt == 0:
+        return f"{base}.worker{job}"
+    return f"{base}.worker{job}.retry{attempt}"
+
+
+def _worker_skew(pieces: dict[int, VerificationResult]) -> dict:
+    """Load-balance summary across a task's shards: how unevenly the
+    search was carved up.  ``max/mean`` executions is the headline
+    number — 1.0 means perfectly balanced shards, large values mean one
+    subtree dominated the run (`trace-summary` surfaces the same figure
+    from ``worker_metrics`` records)."""
+    executions = [r.executions for r in pieces.values()]
+    elapsed = [r.elapsed for r in pieces.values()]
+    mean = sum(executions) / len(executions)
+    return {
+        "tasks": len(executions),
+        "min_executions": min(executions),
+        "max_executions": max(executions),
+        "mean_executions": round(mean, 3),
+        "imbalance": round(max(executions) / mean, 3) if mean else 1.0,
+        "min_elapsed": round(min(elapsed), 6),
+        "max_elapsed": round(max(elapsed), 6),
+    }
 
 
 def _expected(task: SuiteTask) -> bool | None:
@@ -335,16 +408,61 @@ def run_suite(
         else:
             plans.append(_Plan(pos=pos, task=task, key=key))
 
-    def _finalize(plan: _Plan, shards: int) -> None:
+    ctx = multiprocessing.get_context()
+    #: the supervisor once this run dispatched to it (its ``acct`` is
+    #: this run's pool accounting from then on)
+    pool = None
+
+    def _shard_meta(plan: _Plan, merged: VerificationResult) -> None:
+        """Parallel accounting of a task that went through the split."""
+        cancelled = plan.remaining
+        merged.truncated = (
+            merged.truncated
+            or cancelled > 0
+            or (plan.budget is not None and plan.budget.limit_hit)
+        )
+        merged.meta.update(
+            {
+                "jobs": jobs,
+                "tasks": len(plan.prefixes),
+                "tasks_cancelled": cancelled,
+                "tasks_fallback": plan.fallbacks,
+                "oversubscription": plan.task.options.oversubscription,
+                **(pool.acct if pool is not None else NO_FAULTS),
+            }
+        )
+        if plan.budget is not None:
+            merged.meta.update(plan.budget.snapshot())
+        if obs.enabled and plan.pieces:
+            merged.meta["worker_skew"] = _worker_skew(plan.pieces)
+            if obs.trace_enabled:
+                for job in sorted(plan.pieces):
+                    piece = plan.pieces[job]
+                    obs.emit(
+                        "worker_metrics",
+                        worker=job,
+                        executions=piece.executions,
+                        blocked=piece.blocked,
+                        errors=len(piece.errors),
+                        elapsed=round(piece.elapsed, 6),
+                    )
+
+    def _finalize(plan: _Plan) -> None:
         task = plan.task
+        plan.done = True
         merged = plan.partial
-        for shard in sorted(plan.pieces):
-            piece = plan.pieces[shard]
+        for job in sorted(plan.pieces):
+            piece = plan.pieces[job]
             merged = piece if merged is None else merged.merge(piece)
         if merged is None:  # pragma: no cover - every plan has >=1 piece
             raise RuntimeError(f"suite task {task.id} produced no result")
+        if plan.prefixes is not None:
+            _shard_meta(plan, merged)
+        if plan.traces:
+            _fold_worker_traces(obs, sorted(plan.traces.items()))
         if not task.options.collect_keys:
             merged.execution_records = []
+        shards = max(1, len(plan.prefixes or ()))
         verdict = None
         if task.kind == "litmus":
             verdict = verdict_from_result(task.probe, task.model.name, merged)
@@ -391,18 +509,26 @@ def run_suite(
             )
 
     # -- size and shard the misses ---------------------------------------
+    # the estimate orders misses and gates sharding; a lone miss with no
+    # threshold (a verify(jobs=N) call) needs it for neither
+    sized = len(plans) > 1 or shard_threshold > 0
     for plan in plans:
         task = plan.task
-        plan.estimate = estimate_explorations(
-            task.program, task.model, walks=estimate_walks, seed=seed
-        ).mean
+        if sized:
+            plan.estimate = estimate_explorations(
+                task.program, task.model, walks=estimate_walks, seed=seed
+            ).mean
         opts = task.options
+        budgeted = (
+            opts.max_executions is not None or opts.max_explored is not None
+        )
         shardable = (
             jobs > 1
             and plan.estimate >= shard_threshold
-            and opts.max_executions is None
-            and opts.max_explored is None
             and opts.deduplicate is not False
+            # a budget is shared through the pool initializer, which a
+            # caller-owned persistent pool has already run
+            and not (budgeted and supervisor is not None)
         )
         if not shardable:
             continue
@@ -414,15 +540,22 @@ def run_suite(
             target=jobs * opts.oversubscription,
             observer=obs,
         )
-        if aborted:
-            # a limit fired during splitting; run whole for parity with
-            # the serial semantics of that limit
-            continue
         plan.partial = partial
-        plan.prefixes = frontier  # may be empty: split finished the search
+        # an abort (stop-on-error, or a limit) during splitting already
+        # ends the search: the partial result is the task's result
+        plan.prefixes = [] if aborted else frontier
+        if budgeted:
+            # charge what the split phase consumed; shards share the rest
+            plan.budget = GlobalBudget(
+                opts.max_executions,
+                opts.max_explored,
+                executions_used=partial.executions,
+                explored_used=partial.explored,
+                ctx=ctx,
+            )
 
     # -- build the pool job list, longest-expected-first ------------------
-    specs: dict[int, tuple] = {}  # job index -> (plan, shard, options, prefix)
+    specs: dict[int, tuple] = {}  # job index -> (plan, options, prefix)
     for plan in sorted(plans, key=lambda p: -p.estimate):
         task = plan.task
         if tracer.enabled:
@@ -437,41 +570,73 @@ def run_suite(
             )
         if plan.prefixes is None:
             plan.remaining = 1
-            specs[len(specs)] = (plan, 0, task.options, None)
-        else:
-            plan.remaining = len(plan.prefixes)
-            split_options = replace(
-                task.options, collect_keys=True, jobs=None
+            specs[len(specs)] = (plan, task.options, None)
+            continue
+        if not plan.prefixes:  # the split finished or aborted the search
+            _finalize(plan)
+            continue
+        if obs.trace_enabled:
+            obs.emit(
+                "parallel_dispatch",
+                task=task.id,
+                tasks=len(plan.prefixes),
+                jobs=jobs,
             )
-            for shard, prefix in enumerate(plan.prefixes):
-                specs[len(specs)] = (plan, shard, split_options, prefix)
-            if not plan.prefixes:  # search completed during splitting
-                _finalize(plan, shards=1)
+        plan.remaining = len(plan.prefixes)
+        # shards draw from the plan's global budget instead of each
+        # applying the whole limit locally
+        shard_options = replace(
+            task.options,
+            collect_keys=True,
+            jobs=None,
+            max_executions=None,
+            max_explored=None,
+        )
+        for prefix in plan.prefixes:
+            specs[len(specs)] = (plan, shard_options, prefix)
 
     collect_metrics = obs.enabled
     snapshots: list[dict] = []
     acct: dict = {}
-    fallback: list[int] = []
+    pending = set(specs)  # jobs not yet collected
 
     def _complete(job: int, value) -> bool:
-        plan, shard, _options, _prefix = specs[job]
-        result, snapshot, spans = value
-        if snapshot is not None:
-            snapshots.append(snapshot)
-        if spans:
-            tracer.absorb(spans)
-        if shard not in plan.pieces:
-            plan.pieces[shard] = result
+        """Collect one job; True stops the pool (every job still
+        pending belongs to a plan already stopped on an error)."""
+        plan = specs[job][0]
+        pending.discard(job)
+        if not plan.done:
+            result, snapshot, spans, trace = value
+            if snapshot is not None:
+                snapshots.append(snapshot)
+            if spans:
+                tracer.absorb(spans)
+            if trace is not None:
+                plan.traces[job] = trace
+            plan.pieces[job] = result
             plan.remaining -= 1
-            if plan.remaining == 0:
-                _finalize(
-                    plan,
-                    shards=1 if plan.prefixes is None else len(plan.prefixes),
-                )
-        return False  # a suite never stops early: other tasks are independent
+            if plan.remaining == 0 or (
+                plan.task.options.stop_on_error and result.errors
+            ):
+                _finalize(plan)
+        return bool(pending) and all(specs[j][0].done for j in pending)
 
     def _run_inline(job: int) -> None:
-        plan, shard, options, prefix = specs[job]
+        """Run one job in the coordinator (serial suites, and jobs whose
+        retries ran out).  The explorer gets its own registry, sharing
+        the coordinator's trace, tracer and progress reporter: its
+        ``result.phase_times`` must cover this job alone, and its
+        counters fold back by snapshot like a worker's."""
+        plan, options, prefix = specs[job]
+        if plan.done:
+            return
+        inline_obs = NULL_OBSERVER
+        if obs.enabled:
+            inline_obs = Observer(
+                trace=obs.trace,
+                progress=obs.progress,
+                tracer=tracer if tracer.enabled else None,
+            )
         with tracer.span(
             f"explore:{plan.task.program.name}",
             cat="worker",
@@ -484,10 +649,12 @@ def run_suite(
                 plan.task.program,
                 plan.task.model,
                 options,
-                observer=obs,
+                observer=inline_obs,
                 root=prefix,
+                budget=plan.budget,
             ).run()
-        _complete(job, (result, None, None))
+        snapshot = inline_obs.metrics_snapshot() if obs.enabled else None
+        _complete(job, (result, snapshot, None, None))
 
     pool_jobs = len(specs)
     if jobs > 1 and pool_jobs:
@@ -500,17 +667,21 @@ def run_suite(
             supervisor.task_retries = task_retries
             supervisor.obs = obs
         else:
-            ctx = multiprocessing.get_context()
             supervisor = PoolSupervisor(
                 ctx,
                 processes=min(jobs, pool_jobs),
                 task_timeout=task_timeout,
                 task_retries=task_retries,
+                initializer=_init_worker,
+                initargs=(
+                    {p.pos: p.budget for p in plans if p.budget is not None},
+                ),
                 observer=obs,
             )
+        trace_base = _worker_trace_base(obs)
 
         def _payload(job: int):
-            plan, _shard, options, prefix = specs[job]
+            plan, options, prefix = specs[job]
             model_spec = _model_spec(plan.task.model)
             span_ctx = (
                 {
@@ -529,18 +700,29 @@ def run_suite(
                     model_spec,
                     options,
                     prefix,
+                    plan.pos,
+                    _trace_path(trace_base, job, attempt),
                     collect_metrics,
                     span_ctx,
                 )
 
             return make
 
+        pool = supervisor
         supervisor.run(
             _run_suite_job, {job: _payload(job) for job in specs}, _complete
         )
         acct = dict(supervisor.acct)
         acct["tasks_fallback"] = len(supervisor.fallback)
+        # graceful degradation: jobs whose retries ran out are explored
+        # right here, so every task still gets a complete result
         for job in supervisor.fallback:
+            plan = specs[job][0]
+            if plan.done:
+                continue
+            if obs.trace_enabled:
+                obs.emit("task_fallback", task=job)
+            plan.fallbacks += 1
             _run_inline(job)
     else:
         for job in specs:

@@ -106,30 +106,17 @@ class TestUniformResults:
         assert result.meta.get("jobs") == 2
         assert result.executions == serial.executions
 
+    def test_parallel_backend_respects_deduplicate_false(self):
+        """A run that disabled deduplication cannot be merged by
+        canonical key, so the parallel backend must run it serially."""
+        from repro.bench.workloads import ainc
 
-class TestDeprecatedWrappers:
-    def test_explore_wrappers_warn(self):
-        import repro.baselines as B
-
-        for name in (
-            "brute_force",
-            "explore_dpor",
-            "explore_interleavings",
-            "explore_store_buffers",
-            "explore_with_state_hashing",
-        ):
-            fn = getattr(B, name)
-            with pytest.warns(DeprecationWarning, match="get_backend"):
-                if name == "brute_force":
-                    fn(sb(), "sc")
-                elif name == "explore_store_buffers":
-                    fn(sb(), "tso")
-                else:
-                    fn(sb())
-
-    def test_wrappers_still_return_legacy_types(self):
-        from repro.baselines import InterleavingResult, explore_interleavings
-
-        with pytest.warns(DeprecationWarning):
-            raw = explore_interleavings(sb())
-        assert isinstance(raw, InterleavingResult)
+        options = ExplorationOptions(
+            deduplicate=False, jobs=2, stop_on_error=False
+        )
+        via = get_backend("hmc-parallel").run(ainc(3), "imm", options)
+        serial = get_backend("hmc").run(ainc(3), "imm", options)
+        assert via.executions == serial.executions
+        assert via.duplicates == serial.duplicates == 0
+        assert via.outcomes == serial.outcomes
+        assert via.execution_records == []

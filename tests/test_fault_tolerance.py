@@ -6,10 +6,11 @@ crash/hang/exception injection with bounded retry and serial fallback,
 merge-layer bugfixes (boolean meta, keyed/unkeyed mixing), and
 truncated-worker-trace folding.
 
-Fault injection uses the ``REPRO_FAULT_INJECT`` hook in
-``repro.core.parallel._run_subtree`` (documented there): workers crash
-(SIGKILL themselves), hang, or raise — once (marker file) or on every
-attempt (no marker, exercising the serial-fallback path).
+Fault injection uses the ``REPRO_FAULT_INJECT`` hook
+(``repro.core.parallel._maybe_inject_fault``, called by the pool entry
+point ``repro.suite.scheduler._run_suite_job``): workers crash (SIGKILL
+themselves), hang, or raise — once (marker file) or on every attempt
+(no marker, exercising the serial-fallback path).
 """
 
 import os

@@ -334,3 +334,98 @@ class TestSuiteCli:
         assert main(argv) == 0
         manifest = json.loads(capsys.readouterr().out)
         assert manifest["totals"]["tasks"] == 1
+
+
+def racy_wide():
+    """Four store/load threads beside an asserting reader: big enough
+    to shard, and some shards hit the assertion."""
+    from repro.lang import ProgramBuilder
+
+    p = ProgramBuilder("racy-wide")
+    for i in range(4):
+        t = p.thread()
+        t.store(f"x{i}", 1)
+        t.load(f"x{(i + 1) % 4}")
+    t = p.thread()
+    r = t.load("x0")
+    t.assert_(r.eq(0), "saw the store")
+    return p.build()
+
+
+class TestShardPath:
+    """The suite's shard path is the only one: budgets, per-task
+    stop-on-error and per-task observers behave as in a single
+    ``verify(jobs=N)`` call."""
+
+    def test_inline_tasks_do_not_share_phase_times(self):
+        tasks = [
+            program_task(sb_n(3), "tso"),
+            program_task(sb_n(3), "sc"),
+            program_task(sb_n(3), "tso"),
+        ]
+        suite = run_suite(tasks, jobs=1, cache=False, observer=Observer())
+        for task, got in zip(tasks, suite.tasks):
+            alone = run_suite(
+                [task], jobs=1, cache=False, observer=Observer()
+            ).tasks[0]
+            phases = got.result.phase_times
+            assert phases.keys() == alone.result.phase_times.keys(), task.id
+            for name, stat in phases.items():
+                assert (
+                    stat["calls"] == alone.result.phase_times[name]["calls"]
+                ), (task.id, name)
+
+    def test_budgeted_task_shards_within_budget(self):
+        task = program_task(sb_n(4), "tso", max_executions=5)
+        suite = run_suite([task], jobs=2, cache=False, shard_threshold=1)
+        got = suite.tasks[0]
+        assert got.shards > 1
+        assert got.result.executions <= 5
+        assert got.result.truncated
+        assert got.result.meta["budget_executions"] <= 5
+
+    def test_budgeted_task_runs_whole_on_a_persistent_pool(self):
+        import multiprocessing
+
+        from repro.core import PoolSupervisor
+
+        task = program_task(sb_n(4), "tso", max_executions=5)
+        supervisor = PoolSupervisor(
+            multiprocessing.get_context(), processes=2, persistent=True
+        )
+        try:
+            suite = run_suite(
+                [task],
+                jobs=2,
+                cache=False,
+                shard_threshold=1,
+                supervisor=supervisor,
+            )
+        finally:
+            supervisor.close()
+        got = suite.tasks[0]
+        assert got.shards == 1
+        assert got.result.executions == 5
+        assert got.result.truncated
+
+    def test_stop_on_error_cancels_only_its_own_task(self):
+        racy = program_task(racy_wide(), "sc", stop_on_error=True)
+        clean = program_task(sb_n(3), "tso")
+        suite = run_suite(
+            [racy, clean],
+            jobs=2,
+            cache=False,
+            shard_threshold=1,
+            observer=Observer(),
+        )
+        stopped, other = suite.tasks
+        assert stopped.result.errors and stopped.result.truncated
+        meta = stopped.result.meta
+        collected = meta["worker_skew"]["tasks"]
+        assert collected + meta["tasks_cancelled"] == meta["tasks"]
+        serial = verify(sb_n(3), "tso", stop_on_error=False)
+        assert other.shards > 1
+        assert other.result.executions == serial.executions
+        assert other.result.outcomes == serial.outcomes
+        assert other.result.final_states == serial.final_states
+        assert not other.result.truncated
