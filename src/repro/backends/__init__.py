@@ -145,6 +145,24 @@ def _progress_of(observer):
     return getattr(observer, "progress", None)
 
 
+def _baseline_result(
+    program, model_name, tool, start, raw, meta, executions=None
+) -> VerificationResult:
+    """Map one baseline's ``raw`` result onto a VerificationResult timed
+    from ``start``.  ``executions`` overrides ``raw.executions``;
+    ``meta`` holds the baseline's own counters."""
+    result = VerificationResult(program=program.name, model=model_name)
+    result.executions = raw.executions if executions is None else executions
+    result.blocked = raw.blocked
+    result.errors = _placeholder_errors(raw.errors, tool)
+    # only the axiomatic brute force records register outcomes
+    result.outcomes = _counter(getattr(raw, "outcomes", ()))
+    result.final_states = _counter(raw.final_states)
+    result.elapsed = time.perf_counter() - start
+    result.meta = meta
+    return result
+
+
 def _run_interleaving(program, model_name, options, observer) -> VerificationResult:
     from ..baselines import interleaving
 
@@ -154,14 +172,10 @@ def _run_interleaving(program, model_name, options, observer) -> VerificationRes
         max_traces=options.max_explored,
         progress=_progress_of(observer),
     )
-    result = VerificationResult(program=program.name, model=model_name)
-    result.executions = raw.executions
-    result.blocked = raw.blocked
-    result.errors = _placeholder_errors(raw.errors, "interleaving")
-    result.final_states = _counter(raw.final_states)
-    result.elapsed = time.perf_counter() - start
-    result.meta = {"traces": raw.traces, "steps": raw.steps}
-    return result
+    return _baseline_result(
+        program, model_name, "interleaving", start, raw,
+        {"traces": raw.traces, "steps": raw.steps},
+    )
 
 
 def _run_dpor(program, model_name, options, observer) -> VerificationResult:
@@ -173,14 +187,10 @@ def _run_dpor(program, model_name, options, observer) -> VerificationResult:
         max_traces=options.max_explored,
         progress=_progress_of(observer),
     )
-    result = VerificationResult(program=program.name, model=model_name)
-    result.executions = raw.executions
-    result.blocked = raw.blocked
-    result.errors = _placeholder_errors(raw.errors, "dpor")
-    result.final_states = _counter(raw.final_states)
-    result.elapsed = time.perf_counter() - start
-    result.meta = {"traces": raw.traces, "steps": raw.steps, "slept": raw.slept}
-    return result
+    return _baseline_result(
+        program, model_name, "dpor", start, raw,
+        {"traces": raw.traces, "steps": raw.steps, "slept": raw.slept},
+    )
 
 
 def _run_storebuffer(program, model_name, options, observer) -> VerificationResult:
@@ -193,14 +203,10 @@ def _run_storebuffer(program, model_name, options, observer) -> VerificationResu
         max_traces=options.max_explored,
         progress=_progress_of(observer),
     )
-    result = VerificationResult(program=program.name, model=model_name)
-    result.executions = raw.executions
-    result.blocked = raw.blocked
-    result.errors = _placeholder_errors(raw.errors, "storebuffer")
-    result.final_states = _counter(raw.final_states)
-    result.elapsed = time.perf_counter() - start
-    result.meta = {"traces": raw.traces, "steps": raw.steps}
-    return result
+    return _baseline_result(
+        program, model_name, "storebuffer", start, raw,
+        {"traces": raw.traces, "steps": raw.steps},
+    )
 
 
 def _run_statehash(program, model_name, options, observer) -> VerificationResult:
@@ -210,16 +216,13 @@ def _run_statehash(program, model_name, options, observer) -> VerificationResult
     raw = statehash.explore_with_state_hashing(
         program, progress=_progress_of(observer)
     )
-    result = VerificationResult(program=program.name, model=model_name)
     # state hashing counts reachable *states*, not executions; the state
     # count is what the comparison tables report for it
-    result.executions = raw.states
-    result.blocked = raw.blocked
-    result.errors = _placeholder_errors(raw.errors, "statehash")
-    result.final_states = _counter(raw.final_states)
-    result.elapsed = time.perf_counter() - start
-    result.meta = {"steps": raw.steps, "terminal": raw.terminal}
-    return result
+    return _baseline_result(
+        program, model_name, "statehash", start, raw,
+        {"steps": raw.steps, "terminal": raw.terminal},
+        executions=raw.states,
+    )
 
 
 def _run_exhaustive(program, model_name, options, observer) -> VerificationResult:
@@ -229,15 +232,10 @@ def _run_exhaustive(program, model_name, options, observer) -> VerificationResul
     raw = exhaustive.brute_force(
         program, model_name, progress=_progress_of(observer)
     )
-    result = VerificationResult(program=program.name, model=model_name)
-    result.executions = raw.executions
-    result.blocked = raw.blocked
-    result.errors = _placeholder_errors(raw.errors, "exhaustive")
-    result.outcomes = _counter(raw.outcomes)
-    result.final_states = _counter(raw.final_states)
-    result.elapsed = time.perf_counter() - start
-    result.meta = {"candidates": raw.candidates, "combos": raw.combos}
-    return result
+    return _baseline_result(
+        program, model_name, "exhaustive", start, raw,
+        {"candidates": raw.candidates, "combos": raw.combos},
+    )
 
 
 register_backend(

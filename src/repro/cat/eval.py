@@ -200,7 +200,7 @@ _FIXPOINT_SLACK = 2
 class Env:
     """One graph's evaluation environment, with memoised results.
 
-    ``profiler`` (a :class:`~repro.obs.metrics.MetricsRegistry`, or
+    ``profiler`` (an enabled :class:`~repro.obs.observer.Observer`, or
     None) attributes the evaluator's memo behaviour: every name lookup
     bumps ``cat:memo_hit:<name>`` or ``cat:memo_miss:<name>``, and each
     ``let rec`` solve records its convergence rounds in the

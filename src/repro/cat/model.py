@@ -124,10 +124,10 @@ class CatModel(MemoryModel):
 
         When an observer is attached (one run of the explorer), the
         environment profiles its memo hits/misses and fixpoint rounds
-        into the observer's registry — see :class:`Env`.
+        into the observer — see :class:`Env`.
         """
         obs = self._observer
-        profiler = getattr(obs, "metrics", None) if obs.enabled else None
+        profiler = obs if obs.enabled else None
         version = graph._version
         key = ("cat-env", self)
         entry = graph._aux.get(key)

@@ -107,11 +107,12 @@ class Explorer:
         stack: list[ExecutionGraph] = [root]
         # models are registry singletons: attach the observer for this
         # run only, and always detach it again.  The profile activation
-        # makes the same registry visible to the observer-less hot
-        # paths (derived relations) for exactly the same window.
+        # makes the same observer visible to the observer-less hot
+        # paths (derived relations) for exactly the same window, and
+        # the phase scope collects this run's phases alone.
         self.model.set_observer(obs)
         try:
-            with profile_activation(obs):
+            with profile_activation(obs), obs.phase_scope() as phases:
                 while stack:
                     graph = stack.pop()
                     while True:
@@ -129,7 +130,7 @@ class Explorer:
             self.model.set_observer(NULL_OBSERVER)
         self.result.elapsed = time.perf_counter() - start
         if obs.enabled:
-            self.result.phase_times = obs.phase_report()
+            self.result.phase_times = phases
             obs.emit(
                 "run_end",
                 executions=self.result.executions,

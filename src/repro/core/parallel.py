@@ -23,9 +23,7 @@ it is built from:
   in the coordinator;
 * :class:`GlobalBudget` makes ``max_executions``/``max_explored`` hold
   for the **merged** result of a sharded run (shared
-  ``multiprocessing`` counters every worker draws from);
-* :func:`_fold_worker_traces` re-emits per-worker trace files into the
-  coordinator's trace so ``repro trace-summary`` still reconciles.
+  ``multiprocessing`` counters every worker draws from).
 
 :func:`verify_parallel` is a one-task suite: the same code path serves
 the CLI, the library, the backends and the verification service.
@@ -53,11 +51,11 @@ from ..graphs import ExecutionGraph
 from ..graphs.incremental import configure_from_env
 from ..lang import Program
 from ..models import MemoryModel, get_model
-from ..obs import NULL_OBSERVER, read_trace_prefix
+from ..obs import NULL_OBSERVER
 from ..obs.profile import activation as _profile_activation
 from .config import ExplorationOptions
 from .explorer import Explorer, _SearchLimit, effective_jobs
-from .result import VerificationResult, merge_phase_times
+from .result import VerificationResult
 
 def _model_spec(model: MemoryModel) -> "str | MemoryModel":
     """What to ship to workers for ``model``: its name when the
@@ -193,12 +191,13 @@ def split_frontier(
     )
     aborted = False
     # _step bypasses Explorer.run(), so the per-run environment read
-    # (REPRO_INCREMENTAL) and the profile hook used by the observer-less
-    # hot paths (graph_cached memoisation) are set up here
+    # (REPRO_INCREMENTAL), the profile hook used by the observer-less
+    # hot paths (graph_cached memoisation) and the phase scope are set
+    # up here; the split's phases travel in the partial result
     configure_from_env()
     coordinator.model.set_observer(observer)
     try:
-        with _profile_activation(observer):
+        with _profile_activation(observer), observer.phase_scope() as phases:
             while frontier and len(frontier) < target:
                 graph = frontier.popleft()
                 while True:
@@ -215,6 +214,8 @@ def split_frontier(
         aborted = True
     finally:
         coordinator.model.set_observer(NULL_OBSERVER)
+    if observer.enabled:
+        coordinator.result.phase_times = phases
     return list(frontier), coordinator.result, aborted
 
 
@@ -616,10 +617,6 @@ def verify_parallel(
     ).tasks[0].result
     result.elapsed = time.perf_counter() - start
     if obs.enabled:
-        # the split phase ran on the coordinator's own registry
-        result.phase_times = merge_phase_times(
-            result.phase_times, obs.phase_report()
-        )
         obs.emit(
             "run_end",
             executions=result.executions,
@@ -636,31 +633,3 @@ def verify_parallel(
         obs.finish(executions=result.executions, blocked=result.blocked)
     return result
 
-
-def _fold_worker_traces(observer, indexed_paths: list[tuple[int, str]]) -> None:
-    """Re-emit each worker's trace records into the coordinator trace.
-
-    Records keep their type and fields, gain a ``worker`` index, and are
-    re-stamped with the coordinator's ``seq``/``ts`` (per-worker files
-    stay on disk for debugging).  ``trace_start`` records are skipped so
-    the merged file has a single header.  Only the *winning* attempt of
-    each task is folded — failed attempts' partial traces would make
-    ``trace-summary`` disagree with the merged result — and a file cut
-    off mid-record (worker terminated while writing) contributes its
-    valid prefix plus a ``trace_truncated`` marker instead of being
-    discarded wholesale.
-    """
-    for index, path in sorted(indexed_paths):
-        try:
-            records, truncated = read_trace_prefix(path)
-        except OSError:
-            continue  # a cancelled worker may have left nothing behind
-        for record in records:
-            type_ = record.pop("t")
-            if type_ == "trace_start":
-                continue
-            record.pop("seq", None)
-            record.pop("ts", None)
-            observer.emit(type_, worker=index, **record)
-        if truncated:
-            observer.emit("trace_truncated", worker=index, kept=len(records))

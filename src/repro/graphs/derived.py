@@ -57,7 +57,7 @@ def graph_cached(fn):
     full ``(graph, old, deltas) -> Relation`` updater for relations
     with structure beyond added pairs.
 
-    When a profiling registry is active (see :mod:`repro.obs.profile`)
+    When a profiling observer is active (see :mod:`repro.obs.profile`)
     each call is attributed: memo hits bump ``relation:<name>:memo_hit``,
     incremental extensions bump ``relation:<name>:incremental_hit``,
     and both extensions and full computes are timed under a
@@ -76,28 +76,28 @@ def graph_cached(fn):
     def wrapper(graph: ExecutionGraph):
         version = graph._version
         entry = graph._derived.get(name)
-        reg = _PROFILE.registry
+        obs = _PROFILE.observer
         if entry is not None:
             if entry[0] == version:
-                if reg is not None:
-                    reg.inc(hit_counter)
+                if obs is not None:
+                    obs.inc(hit_counter)
                 return entry[1]
             updater = wrapper.incremental_update
             if updater is not None and _FLAGS.enabled:
                 deltas = graph.deltas_since(entry[0])
                 if deltas is not None:
-                    if reg is not None:
-                        with reg.phase(compute_phase):
+                    if obs is not None:
+                        with obs.phase(compute_phase):
                             value = updater(graph, entry[1], deltas)
-                        reg.inc(inc_counter)
+                        obs.inc(inc_counter)
                     else:
                         value = updater(graph, entry[1], deltas)
                     if _FLAGS.differential:
                         check_equal(name, value, fn(graph))
                     graph._derived[name] = (version, value)
                     return value
-        if reg is not None:
-            with reg.phase(compute_phase):
+        if obs is not None:
+            with obs.phase(compute_phase):
                 value = fn(graph)
         else:
             value = fn(graph)

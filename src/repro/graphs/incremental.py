@@ -173,7 +173,7 @@ def acyclic_check(graph: ExecutionGraph, family: AcyclicFamily) -> bool:
     key = "acyc:" + family.name
     version = graph._version
     state = graph._aux.get(key)
-    reg = _PROFILE.registry
+    obs = _PROFILE.observer
     if state is not None:
         verdict = None
         if state[0] == version:
@@ -236,19 +236,19 @@ def acyclic_check(graph: ExecutionGraph, family: AcyclicFamily) -> bool:
                         # edge's source: the new edges close a cycle in the
                         # exact union, so the full DFS would reject too —
                         # no need to run it.
-                        if reg is not None:
-                            reg.inc("acyclic:incremental_hit")
+                        if obs is not None:
+                            obs.inc("acyclic:incremental_hit")
                         if _FLAGS.differential and family.build(graph).is_acyclic():
                             raise IncrementalMismatch(
                                 f"incremental acyclicity of {family.name!r} "
                                 "found a cycle; full DFS says acyclic"
                             )
                         return False
-                    elif reg is not None:
-                        reg.inc("acyclic:fallback")
+                    elif obs is not None:
+                        obs.inc("acyclic:fallback")
         if verdict:
-            if reg is not None:
-                reg.inc("acyclic:incremental_hit")
+            if obs is not None:
+                obs.inc("acyclic:incremental_hit")
             if _FLAGS.differential and not family.build(graph).is_acyclic():
                 raise IncrementalMismatch(
                     f"incremental acyclicity of {family.name!r} said "
@@ -484,9 +484,9 @@ def coherent_check(
                     if verdict is False:
                         break
         if verdict is not None:
-            reg = _PROFILE.registry
-            if reg is not None:
-                reg.inc("coherent:incremental_hit")
+            obs = _PROFILE.observer
+            if obs is not None:
+                obs.inc("coherent:incremental_hit")
             if _FLAGS.differential:
                 full = all(
                     (b, a) not in eco_rel for a, b in hb.pairs()

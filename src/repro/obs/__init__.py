@@ -1,7 +1,8 @@
 """repro.obs — observability for the checker.
 
-A zero-dependency metrics registry (counters, gauges, histograms,
-nested phase timers), structured JSONL exploration traces, a progress
+A zero-dependency metrics registry (counters, gauges, histograms),
+nested phase timers aggregated on the span tracer's stack
+(:mod:`repro.obs.spans`), structured JSONL exploration traces, a progress
 heartbeat for long runs, trace aggregation into the paper-style
 summary table, deep-profiling hooks for hotspot attribution
 (:mod:`repro.obs.profile`), a persistent run store with regression
@@ -14,7 +15,7 @@ See docs/OBSERVABILITY.md for the trace schema and metric names.
 """
 
 from .export import service_families, to_prometheus
-from .metrics import Histogram, MetricsRegistry, PhaseStat
+from .metrics import Histogram, MetricsRegistry
 from .observer import NULL_OBSERVER, NullObserver, Observer
 from .profile import format_profile, memo_rates
 from .progress import ProgressMeter, ProgressReporter, parse_progress_spec
@@ -66,7 +67,6 @@ from .trace import (
 __all__ = [
     "Histogram",
     "MetricsRegistry",
-    "PhaseStat",
     "NULL_OBSERVER",
     "NullObserver",
     "Observer",

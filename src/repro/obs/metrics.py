@@ -1,4 +1,4 @@
-"""Zero-dependency metrics: counters, gauges, histograms, phase timers.
+"""Zero-dependency metrics: counters, gauges and histograms.
 
 The registry is the in-process backend of the observability layer
 (see docs/OBSERVABILITY.md).  It is deliberately tiny — plain dicts,
@@ -6,23 +6,13 @@ no locks, no third-party client — because it sits on the exploration
 hot path: the explorer calls into it once or twice per event added.
 When observability is disabled the registry is never touched at all
 (the :class:`~repro.obs.observer.NullObserver` short-circuits every
-call before it reaches here).
-
-Phase timers nest: entering ``phase("revisit")`` while
-``phase("co_placement")`` is open attributes the inner duration to
-both phases' *total* ("inclusive") time, but only to the inner
-phase's *self* ("exclusive") time.  ``sum(self)`` over all phases
-therefore never double-counts, which is what makes the per-phase
-breakdown in ``VerificationResult.phase_times`` add up to (at most)
-the wall clock.
+call before it reaches here).  Phase timings live on the span tracer's
+stack (:meth:`repro.obs.spans.SpanTracer.phase`), not here.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
-
-from .spans import NULL_TRACER
 
 
 @dataclass
@@ -91,80 +81,13 @@ class Histogram:
         }
 
 
-@dataclass
-class PhaseStat:
-    """Accumulated timings of one named phase."""
-
-    calls: int = 0
-    #: inclusive seconds (children counted)
-    total: float = 0.0
-    #: exclusive seconds (children subtracted)
-    self_time: float = 0.0
-
-    def as_dict(self) -> dict[str, float]:
-        return {
-            "calls": self.calls,
-            "total": round(self.total, 6),
-            "self": round(self.self_time, 6),
-        }
-
-
-class _PhaseContext:
-    """Reusable context manager for one phase activation."""
-
-    __slots__ = ("registry", "name", "start", "child_time", "span")
-
-    def __init__(self, registry: MetricsRegistry, name: str) -> None:
-        self.registry = registry
-        self.name = name
-        self.start = 0.0
-        self.child_time = 0.0
-        self.span = None
-
-    def __enter__(self) -> "_PhaseContext":
-        # co-emit a span per phase activation when a tracer is attached;
-        # the NULL tracer keeps this one attribute check (the <5%
-        # disabled-overhead budget holds: an unobserved run never even
-        # reaches the registry)
-        tracer = self.registry.tracer
-        if tracer.enabled:
-            self.span = tracer._push(self.name, "phase", None)
-        self.start = self.registry._clock()
-        self.child_time = 0.0
-        self.registry._stack.append(self)
-        return self
-
-    def __exit__(self, *exc) -> bool:
-        registry = self.registry
-        duration = registry._clock() - self.start
-        registry._stack.pop()
-        if self.span is not None:
-            registry.tracer._pop(self.span)
-            self.span = None
-        stat = registry._phases.get(self.name)
-        if stat is None:
-            stat = registry._phases[self.name] = PhaseStat()
-        stat.calls += 1
-        stat.total += duration
-        stat.self_time += duration - self.child_time
-        if registry._stack:
-            registry._stack[-1].child_time += duration
-        return False
-
-
 class MetricsRegistry:
-    """Counters, gauges, histograms and nested phase timers."""
+    """Counters, gauges and histograms."""
 
-    def __init__(self, clock=time.perf_counter, tracer=NULL_TRACER) -> None:
-        self._clock = clock
-        #: co-emits a span per phase activation when enabled (see
-        #: repro.obs.spans); NULL_TRACER costs one attribute check
-        self.tracer = tracer
+    def __init__(self) -> None:
         self.counters: dict[str, float] = {}
         self.gauges: dict[str, float] = {}
         self.histograms: dict[str, Histogram] = {}
-        self._phases: dict[str, PhaseStat] = {}
-        self._stack: list[_PhaseContext] = []
 
     # -- counters / gauges / histograms ---------------------------------
 
@@ -180,23 +103,6 @@ class MetricsRegistry:
             hist = self.histograms[name] = Histogram()
         hist.observe(value)
 
-    # -- phase timers ---------------------------------------------------
-
-    def phase(self, name: str) -> _PhaseContext:
-        """A ``with``-able timer; nesting attributes inner durations to
-        the inner phase's self time only."""
-        return _PhaseContext(self, name)
-
-    def phase_stats(self) -> dict[str, PhaseStat]:
-        return dict(self._phases)
-
-    def phase_report(self) -> dict[str, dict[str, float]]:
-        """JSON-ready per-phase timing breakdown, ordered by self time."""
-        ordered = sorted(
-            self._phases.items(), key=lambda kv: kv[1].self_time, reverse=True
-        )
-        return {name: stat.as_dict() for name, stat in ordered}
-
     # -- snapshots ------------------------------------------------------
 
     def snapshot(self) -> dict:
@@ -211,20 +117,14 @@ class MetricsRegistry:
             "counters": dict(self.counters),
             "gauges": dict(self.gauges),
             "histograms": {k: h.as_dict() for k, h in self.histograms.items()},
-            "phases": self.phase_report(),
         }
 
-    def merge_snapshot(self, snap: dict, include_phases: bool = False) -> None:
+    def merge_snapshot(self, snap: dict) -> None:
         """Fold another registry's :meth:`snapshot` into this one.
 
         Counters and histograms sum; gauges keep the maximum (they are
         point-in-time readings, and "worst seen anywhere" is the only
-        aggregation that stays meaningful across workers).  Phase
-        timings are skipped by default because the parallel engine
-        already merges them through ``VerificationResult.phase_times``
-        — folding them here too would double-count; pass
-        ``include_phases=True`` only when the snapshot's phases travel
-        no other way.
+        aggregation that stays meaningful across workers).
         """
         for name, value in snap.get("counters", {}).items():
             self.inc(name, value)
@@ -236,11 +136,3 @@ class MetricsRegistry:
             if hist is None:
                 hist = self.histograms[name] = Histogram()
             hist.merge_dict(hist_snap)
-        if include_phases:
-            for name, stat_snap in snap.get("phases", {}).items():
-                stat = self._phases.get(name)
-                if stat is None:
-                    stat = self._phases[name] = PhaseStat()
-                stat.calls += int(stat_snap.get("calls", 0))
-                stat.total += stat_snap.get("total", 0.0)
-                stat.self_time += stat_snap.get("self", 0.0)

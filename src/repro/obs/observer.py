@@ -11,15 +11,16 @@ whether anything is listening.  Two implementations exist:
   This is what makes the instrumentation cost ~nothing when off.
 * :class:`Observer`, which fans out to a
   :class:`~repro.obs.metrics.MetricsRegistry`, an optional
-  :class:`~repro.obs.trace.TraceWriter` and an optional
-  :class:`~repro.obs.progress.ProgressReporter`.
+  :class:`~repro.obs.trace.TraceWriter`, an optional
+  :class:`~repro.obs.progress.ProgressReporter`, and times phases on a
+  :class:`~repro.obs.spans.SpanTracer` stack.
 """
 
 from __future__ import annotations
 
 from .metrics import MetricsRegistry
 from .progress import ProgressReporter
-from .spans import NULL_TRACER
+from .spans import NULL_TRACER, SpanTracer
 from .trace import FileSink, MemorySink, TraceWriter
 
 
@@ -47,6 +48,9 @@ class NullObserver:
     tracer = NULL_TRACER
 
     def phase(self, name: str):
+        return _NULL_CTX
+
+    def phase_scope(self):
         return _NULL_CTX
 
     def emit(self, type_: str, **fields) -> None:
@@ -96,9 +100,9 @@ class Observer(NullObserver):
         self.progress = progress
         self.trace_enabled = trace is not None
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        if self.tracer.enabled:
-            # phase timers co-emit spans through the registry
-            self.metrics.tracer = self.tracer
+        # phases time on the tracer's stack; without a tracer, on a
+        # private one that opens no spans and so never emits any
+        self._timer = self.tracer if self.tracer.enabled else SpanTracer()
 
     # -- construction helpers -------------------------------------------
 
@@ -127,7 +131,10 @@ class Observer(NullObserver):
     # -- the instrumented interface -------------------------------------
 
     def phase(self, name: str):
-        return self.metrics.phase(name)
+        return self._timer.phase(name)
+
+    def phase_scope(self):
+        return self._timer.phase_scope()
 
     def emit(self, type_: str, **fields) -> None:
         if self.trace is not None:
@@ -146,7 +153,7 @@ class Observer(NullObserver):
     # -- reporting -------------------------------------------------------
 
     def phase_report(self) -> dict:
-        return self.metrics.phase_report()
+        return self._timer.phase_report()
 
     def metrics_snapshot(self) -> dict:
         return self.metrics.snapshot()

@@ -7,25 +7,26 @@ whose cost actually dominates a run — derived-relation computation
 (:mod:`repro.cat.eval`) — sit behind module-level memo caches with no
 observer in their signatures.  Threading one through would put a new
 argument on every relation call; instead this module keeps **one
-process-global active registry** that those hot paths consult with a
+process-global active observer** that those hot paths consult with a
 single attribute load::
 
-    reg = _STATE.registry
-    if reg is not None:            # profiling off: this is the whole cost
-        reg.inc("relation:po:memo_hit")
+    obs = _STATE.observer
+    if obs is not None:            # profiling off: this is the whole cost
+        obs.inc("relation:po:memo_hit")
 
-:class:`~repro.core.explorer.Explorer` activates the registry of its
-observer for the duration of one run (and always deactivates it), so
-the hooks are live exactly when the run is observed and cost one
-``None`` check otherwise — the same discipline as ``NULL_OBSERVER``.
-Activation nests (a fallback explorer inside a parallel coordinator
-restores the outer registry on exit) and is per-process: parallel
-workers activate their own observer's registry in their own process,
-and the coordinator folds the snapshots back (see
+:class:`~repro.core.explorer.Explorer` activates its observer for the
+duration of one run (and always deactivates it), so the hooks are live
+exactly when the run is observed and cost one ``None`` check otherwise
+— the same discipline as ``NULL_OBSERVER``.  The hooks use the
+observer's ``inc``/``observe``/``phase``, so their phases time on the
+same stack as the run's.  Activation nests (a fallback explorer inside
+a parallel coordinator restores the outer observer on exit) and is
+per-process: parallel workers activate their own observer in their own
+process, and the coordinator folds the metric snapshots back (see
 ``MetricsRegistry.merge_snapshot``).
 
-Metric names the hooks reserve (all live in the ordinary counter /
-histogram / phase namespaces of the registry):
+Metric names the hooks reserve (counters and histograms live in the
+observer's registry, phases on its tracer stack):
 
 * ``relation:<name>:memo_hit`` — a derived relation was served from the
   per-graph memo (counter);
@@ -60,48 +61,38 @@ See docs/OBSERVABILITY.md ("Deep profiling") for the full catalogue.
 
 from __future__ import annotations
 
-from .metrics import MetricsRegistry
+import contextlib
 
 
 class _ProfileState:
-    """Holder for the process-global active registry (a slot attribute
+    """Holder for the process-global active observer (a slot attribute
     is one pointer load on the hot path, and monkeypatch-friendly)."""
 
-    __slots__ = ("registry",)
+    __slots__ = ("observer",)
 
     def __init__(self) -> None:
-        self.registry: MetricsRegistry | None = None
+        self.observer = None
 
 
 _STATE = _ProfileState()
 
 
-def active() -> MetricsRegistry | None:
-    """The registry profiling hooks currently report to (None = off)."""
-    return _STATE.registry
+def active():
+    """The observer profiling hooks currently report to (None = off)."""
+    return _STATE.observer
 
 
-class activation:
-    """Context manager installing ``observer``'s registry as the active
-    profile target (or None for a disabled observer), restoring the
-    previous target on exit — so nested runs compose."""
-
-    __slots__ = ("_registry", "_previous")
-
-    def __init__(self, observer) -> None:
-        self._registry = (
-            getattr(observer, "metrics", None) if observer.enabled else None
-        )
-        self._previous: MetricsRegistry | None = None
-
-    def __enter__(self) -> "activation":
-        self._previous = _STATE.registry
-        _STATE.registry = self._registry
-        return self
-
-    def __exit__(self, *exc) -> bool:
-        _STATE.registry = self._previous
-        return False
+@contextlib.contextmanager
+def activation(observer):
+    """Install ``observer`` as the active profile target (None for a
+    disabled observer), restoring the previous target on exit — so
+    nested runs compose."""
+    previous = _STATE.observer
+    _STATE.observer = observer if observer.enabled else None
+    try:
+        yield
+    finally:
+        _STATE.observer = previous
 
 
 # -- reporting ---------------------------------------------------------------

@@ -1,13 +1,19 @@
 """End-to-end span tracing: one trace_id across every layer of a run.
 
 A **span** is one timed operation — an HTTP submit, a queued job, a
-suite task, a worker subprocess exploring a subtree, a single
-``check:*`` phase — recorded as plain JSON-ready data::
+suite task, a worker subprocess exploring a subtree — recorded as
+plain JSON-ready data::
 
     {"trace_id": ..., "span_id": ..., "parent_id": ...,
-     "name": "check:coherence", "cat": "phase",
+     "name": "explore:SB", "cat": "worker",
      "start": <epoch seconds>, "dur": <seconds>,
      "pid": ..., "tid": ..., "attrs": {...}}
+
+A **phase** (``replay``, ``check:coherence``, ...) is timed on the same
+stack but aggregated: all activations of one name under one parent
+become a single ``cat="phase"`` span whose ``dur`` is their total and
+whose ``attrs`` carry ``calls`` and ``self_s``.  This is the only timer
+in the package; ``VerificationResult.phase_times`` is read from it.
 
 ``start`` is wall-clock *aligned* but monotonically *measured*: each
 tracer pins ``time.time()`` to ``perf_counter()`` once at construction
@@ -41,6 +47,7 @@ Three exporters:
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import threading
@@ -131,40 +138,90 @@ class NullTracer:
 NULL_TRACER = NullTracer()
 
 
-class _SpanScope:
-    """Context manager for one stacked (nested) span activation."""
+class _Node:
+    """A tracer stack entry: a ``with``-able phase node aggregating every
+    activation of ``name`` under one parent, or a plain frame (an open
+    ``span``, a phase scope, the root).  ``kids`` are the phase nodes
+    under it; ``child`` their seconds in the current activation."""
 
-    __slots__ = ("tracer", "name", "cat", "attrs", "parent", "span")
+    __slots__ = (
+        "tracer", "name", "span", "calls", "total", "self_time", "first",
+        "start", "child", "kids",
+    )
 
-    def __init__(
-        self, tracer: "SpanTracer", name, cat, attrs, parent=None
-    ) -> None:
+    def __init__(self, tracer, name=None, span=None) -> None:
         self.tracer = tracer
         self.name = name
-        self.cat = cat
-        self.attrs = attrs
-        self.parent = parent
-        self.span = None
+        self.span = span
+        self.calls = 0
+        self.total = self.self_time = self.first = 0.0
+        self.start = self.child = 0.0
+        self.kids: dict[str, _Node] = {}
 
-    def __enter__(self) -> dict:
-        self.span = self.tracer._push(
-            self.name, self.cat, self.attrs, self.parent
-        )
-        return self.span
+    def __enter__(self) -> None:
+        self.child = 0.0
+        self.tracer._stack.append(self)
+        self.start = self.tracer._clock()
 
     def __exit__(self, *exc) -> bool:
-        self.tracer._pop(self.span)
+        tracer = self.tracer
+        duration = tracer._clock() - self.start
+        stack = tracer._stack
+        stack.pop()
+        if not self.calls:
+            self.first = self.start
+        self.calls += 1
+        self.total += duration
+        self.self_time += duration - self.child
+        stack[-1].child += duration
         return False
 
 
+def _phase_report(kids: dict) -> dict[str, dict]:
+    """Phase nodes summed by name into ``{name: {"calls", "total",
+    "self"}}`` (the shape of ``VerificationResult.phase_times``),
+    ordered by self time."""
+    flat: dict[str, tuple] = {}
+    todo = list(kids.values())
+    while todo:
+        node = todo.pop()
+        calls, total, own = flat.get(node.name, (0, 0.0, 0.0))
+        flat[node.name] = (
+            calls + node.calls, total + node.total, own + node.self_time
+        )
+        todo.extend(node.kids.values())
+    ordered = sorted(flat.items(), key=lambda kv: -kv[1][2])
+    return {
+        name: {"calls": calls, "total": round(total, 6), "self": round(own, 6)}
+        for name, (calls, total, own) in ordered
+    }
+
+
+def _merge_phases(into: dict, kids: dict) -> None:
+    """Merge the phase nodes ``kids`` into the sibling map ``into``."""
+    for name, node in kids.items():
+        mine = into.setdefault(name, node)
+        if mine is not node:
+            mine.first = min(mine.first, node.first)
+            mine.calls += node.calls
+            mine.total += node.total
+            mine.self_time += node.self_time
+            _merge_phases(mine.kids, node.kids)
+
+
 class SpanTracer(NullTracer):
-    """Collects spans for one trace into a bounded ring.
+    """Collects spans for one trace into a bounded ring, and times
+    phases on the same stack.
 
     Single-threaded by design (one tracer per coordinator thread or
-    worker process — the same ownership model as ``MetricsRegistry``).
-    ``remote_parent`` adopts a propagation token from another process:
-    spans opened with no local parent attach there, stitching the
-    worker's segment under the coordinator's span.
+    worker process).  ``remote_parent`` adopts a propagation token from
+    another process: spans opened with no local parent attach there,
+    stitching the worker's segment under the coordinator's span.
+
+    Each phase node finishes as one ``cat="phase"`` span (``dur`` its
+    total, ``attrs.calls`` and ``attrs.self_s``) when its enclosing
+    span closes; phases outside every span stay on the root, where
+    :meth:`phase_report` reads them.
 
     ``on_finish`` (when given) receives each span dict as it finishes
     — the service streams them onto the job event ring this way.
@@ -193,7 +250,8 @@ class SpanTracer(NullTracer):
         # unique per tracer regardless
         self._prefix = uuid.uuid4().hex[:8]
         self._seq = 0
-        self._stack: list[dict] = []
+        #: open spans, scopes and phases over the root frame
+        self._stack: list[_Node] = [_Node(self)]
         self._wall0 = time.time()
         self._perf0 = clock()
         self._pid = os.getpid()
@@ -205,21 +263,28 @@ class SpanTracer(NullTracer):
         self._seq += 1
         return f"{self._prefix}-{self._seq:x}"
 
-    def _open(self, name, cat, parent_id, attrs) -> dict:
-        t0 = self._clock()
+    def _record(self, span_id, parent_id, name, cat, t0, dur, attrs) -> dict:
         return {
             "trace_id": self.trace_id,
-            "span_id": self._new_id(),
+            "span_id": span_id,
             "parent_id": parent_id,
             "name": str(name),
             "cat": str(cat),
             "start": self._wall0 + (t0 - self._perf0),
-            "dur": 0.0,
+            "dur": dur,
             "pid": self._pid,
             "tid": self._tid,
-            "attrs": dict(attrs) if attrs else {},
-            "_t0": t0,
+            "attrs": attrs,
         }
+
+    def _open(self, name, cat, parent_id, attrs) -> dict:
+        t0 = self._clock()
+        span = self._record(
+            self._new_id(), parent_id, name, cat, t0, 0.0,
+            dict(attrs) if attrs else {},
+        )
+        span["_t0"] = t0
+        return span
 
     def _finish(self, span: dict, extra_attrs: dict | None = None) -> None:
         t0 = span.pop("_t0", None)
@@ -235,40 +300,90 @@ class SpanTracer(NullTracer):
         if self.on_finish is not None:
             self.on_finish(span)
 
-    def _push(self, name, cat, attrs, parent=None) -> dict:
-        parent_id = self._parent_id(parent)
-        span = self._open(name, cat, parent_id, attrs)
-        self._stack.append(span)
-        return span
-
     def _parent_id(self, parent) -> str | None:
         """Resolve an explicit parent (span dict | span_id | None =
         innermost stacked span, else the adopted remote parent)."""
         if parent is None:
-            return (
-                self._stack[-1]["span_id"]
-                if self._stack
-                else self.remote_parent
-            )
+            for frame in reversed(self._stack):
+                if frame.span is not None:
+                    return frame.span["span_id"]
+            return self.remote_parent
         if isinstance(parent, dict):
             return parent.get("span_id")
         return parent
 
-    def _pop(self, span: dict) -> None:
-        if self._stack and self._stack[-1] is span:
-            self._stack.pop()
-        elif span in self._stack:  # pragma: no cover - defensive
-            self._stack.remove(span)
-        self._finish(span)
+    def _close(self, frame: _Node) -> None:
+        """Take a span or scope frame off the stack.  A span finishes
+        with its phases; a scope hands its phases to the enclosing
+        frame."""
+        stack = self._stack
+        stack.remove(frame)
+        outer = stack[-1]
+        outer.child += frame.child
+        if frame.span is None:
+            _merge_phases(outer.kids, frame.kids)
+            return
+        self._finish_phases(frame.kids, frame.span["span_id"])
+        self._finish(frame.span)
+
+    def _finish_phases(self, kids: dict, parent_id: str) -> None:
+        """Finish one ``cat="phase"`` span per node, each after the
+        phases nested in it (the order stacked spans finish in)."""
+        for node in kids.values():
+            span_id = self._new_id()
+            self._finish_phases(node.kids, span_id)
+            self._finish(
+                self._record(
+                    span_id, parent_id, node.name, "phase", node.first,
+                    node.total,
+                    {"calls": node.calls, "self_s": node.self_time},
+                )
+            )
 
     # -- the tracing interface --------------------------------------------
 
+    @contextlib.contextmanager
     def span(self, name: str, cat: str = "span", parent=None, **attrs):
         """A ``with``-able span nested under the current span (the
-        tracer keeps a stack, like phase timers).  ``parent``
-        optionally overrides the stack — e.g. nesting under a
-        *detached* span that lifetimes prevent from being stacked."""
-        return _SpanScope(self, name, cat, attrs, parent)
+        tracer keeps a stack).  ``parent`` optionally overrides the
+        stack — e.g. nesting under a *detached* span that lifetimes
+        prevent from being stacked."""
+        span = self._open(name, cat, self._parent_id(parent), attrs)
+        frame = _Node(self, span=span)
+        self._stack.append(frame)
+        try:
+            yield span
+        finally:
+            self._close(frame)
+
+    def phase(self, name: str) -> _Node:
+        """A ``with``-able phase timer: the node of ``name`` under the
+        current stack entry.  Self times exclude nested phases."""
+        kids = self._stack[-1].kids
+        node = kids.get(name)
+        if node is None:
+            node = kids[name] = _Node(self, name)
+        return node
+
+    @contextlib.contextmanager
+    def phase_scope(self):
+        """A ``with``-able frame collecting the phases opened inside it
+        (one run's ``phase_times``).  It yields a dict that is filled
+        in ``phase_report`` shape on exit, when the phases join the
+        enclosing frame.  It records no span."""
+        frame = _Node(self)
+        self._stack.append(frame)
+        report: dict = {}
+        try:
+            yield report
+        finally:
+            report.update(_phase_report(frame.kids))
+            self._close(frame)
+
+    def phase_report(self) -> dict[str, dict]:
+        """JSON-ready per-phase breakdown of the phases recorded
+        outside every span, ordered by self time."""
+        return _phase_report(self._stack[0].kids)
 
     def start_span(self, name, cat="span", parent=None, **attrs) -> dict:
         """Begin a *detached* span: not on the nesting stack, so
@@ -290,14 +405,10 @@ class SpanTracer(NullTracer):
         process and build its tracer with
         ``SpanTracer(trace_id=ctx["trace_id"],
         remote_parent=ctx["span_id"])``."""
-        if self._stack:
-            return {
-                "trace_id": self.trace_id,
-                "span_id": self._stack[-1]["span_id"],
-            }
-        if self.remote_parent is not None:
-            return {"trace_id": self.trace_id, "span_id": self.remote_parent}
-        return None
+        span_id = self._parent_id(None)
+        if span_id is None:
+            return None
+        return {"trace_id": self.trace_id, "span_id": span_id}
 
     def absorb(self, spans) -> None:
         """Fold finished span records from another tracer (typically a
@@ -479,8 +590,9 @@ def flame_tree(spans) -> FlameNode:
     Roots are spans with no (resolvable) parent; a span's self time is
     its duration minus its direct children's durations (clamped at 0 —
     absorbed segments from other processes can overlap their parent).
-    Same-named siblings merge, so repeated phases fold into one node
-    with a call count, like a collapsed flamegraph.
+    Same-named siblings merge into one node with a call count, like a
+    collapsed flamegraph; an aggregated record counts its
+    ``attrs.calls``.
     """
     records = [s for s in spans if isinstance(s, dict) and "span_id" in s]
     by_id = {s["span_id"]: s for s in records}
@@ -506,7 +618,7 @@ def flame_tree(spans) -> FlameNode:
         kid_time = sum(max(0.0, k.get("dur", 0.0)) for k in kids)
         child.total += dur
         child.self_time += max(0.0, dur - kid_time)
-        child.calls += 1
+        child.calls += span.get("attrs", {}).get("calls", 1)
         for kid in sorted(kids, key=lambda s: s.get("start", 0.0)):
             _fold(kid, child)
 
@@ -584,7 +696,7 @@ def span_summary(spans) -> dict:
         entry = summary.setdefault(
             name, {"calls": 0, "seconds": 0.0, "cat": span.get("cat", "span")}
         )
-        entry["calls"] += 1
+        entry["calls"] += span.get("attrs", {}).get("calls", 1)
         entry["seconds"] += max(0.0, span.get("dur", 0.0))
     for entry in summary.values():
         entry["seconds"] = round(entry["seconds"], 6)

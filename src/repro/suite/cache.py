@@ -221,7 +221,7 @@ class ResultCache:
                 except OSError:
                     pass
         if self.max_mb is not None:
-            self.prune()
+            self._prune(self.max_mb, keep=path)
         return path
 
     def prune(self, max_mb: float | None = None) -> int:
@@ -231,8 +231,10 @@ class ResultCache:
         same files are harmless — a vanished file just counts as
         already pruned."""
         cap = self.max_mb if max_mb is None else max_mb
-        if cap is None:
-            return 0
+        return 0 if cap is None else self._prune(cap)
+
+    def _prune(self, cap: float, keep: str | None = None) -> int:
+        """:meth:`prune` to ``cap``, never removing the file ``keep``."""
         entries = []
         for key in self.keys():
             path = self.path(key)
@@ -247,6 +249,8 @@ class ResultCache:
         for _, size, path in sorted(entries):
             if total <= budget:
                 break
+            if path == keep:
+                continue
             try:
                 os.remove(path)
             except OSError:

@@ -50,7 +50,6 @@ from ..core.parallel import (
     NO_FAULTS,
     GlobalBudget,
     PoolSupervisor,
-    _fold_worker_traces,
     _maybe_inject_fault,
     _model_spec,
     split_frontier,
@@ -68,6 +67,7 @@ from ..litmus.runner import (
 from ..models import MemoryModel, get_model
 from ..obs import NULL_OBSERVER, FileSink, Observer, TraceWriter
 from ..obs.spans import NULL_TRACER, SpanTracer
+from ..obs.trace import read_trace_prefix
 from .cache import ResultCache, task_key
 from .result import SuiteResult, TaskResult
 
@@ -186,9 +186,9 @@ def _run_suite_job(payload):
     ``trace_path`` (set when the coordinator traces to a file) is where
     this attempt writes its own trace.  Returns ``(result, metrics snapshot | None, spans | None,
     trace_path)`` — when a span context rides in, the worker's
-    exploration (and every phase inside it, via the registry's tracer)
-    is recorded as spans parented on the coordinator's suite-task span
-    and shipped back for the coordinator to absorb.
+    exploration (and every phase inside it) is recorded as spans
+    parented on the coordinator's suite-task span and shipped back for
+    the coordinator to absorb.
     """
     job, attempt, program, model_spec, options, prefix, budget_key, \
         trace_path, collect, span_ctx = payload
@@ -263,6 +263,35 @@ def _trace_path(base: str | None, job: int, attempt: int) -> str | None:
     if attempt == 0:
         return f"{base}.worker{job}"
     return f"{base}.worker{job}.retry{attempt}"
+
+
+def _fold_worker_traces(observer, indexed_paths: list[tuple[int, str]]) -> None:
+    """Re-emit each worker's trace records into the coordinator trace.
+
+    Records keep their type and fields, gain a ``worker`` index, and are
+    re-stamped with the coordinator's ``seq``/``ts`` (per-worker files
+    stay on disk for debugging).  ``trace_start`` records are skipped so
+    the merged file has a single header.  Only the *winning* attempt of
+    each task is folded — failed attempts' partial traces would make
+    ``trace-summary`` disagree with the merged result — and a file cut
+    off mid-record (worker terminated while writing) contributes its
+    valid prefix plus a ``trace_truncated`` marker instead of being
+    discarded wholesale.
+    """
+    for index, path in sorted(indexed_paths):
+        try:
+            records, truncated = read_trace_prefix(path)
+        except OSError:
+            continue  # a cancelled worker may have left nothing behind
+        for record in records:
+            type_ = record.pop("t")
+            if type_ == "trace_start":
+                continue
+            record.pop("seq", None)
+            record.pop("ts", None)
+            observer.emit(type_, worker=index, **record)
+        if truncated:
+            observer.emit("trace_truncated", worker=index, kept=len(records))
 
 
 def _worker_skew(pieces: dict[int, VerificationResult]) -> dict:
@@ -623,20 +652,12 @@ def run_suite(
 
     def _run_inline(job: int) -> None:
         """Run one job in the coordinator (serial suites, and jobs whose
-        retries ran out).  The explorer gets its own registry, sharing
-        the coordinator's trace, tracer and progress reporter: its
-        ``result.phase_times`` must cover this job alone, and its
-        counters fold back by snapshot like a worker's."""
+        retries ran out), on the coordinator's own observer: the
+        explorer's phase scope keeps ``result.phase_times`` to this job
+        alone."""
         plan, options, prefix = specs[job]
         if plan.done:
             return
-        inline_obs = NULL_OBSERVER
-        if obs.enabled:
-            inline_obs = Observer(
-                trace=obs.trace,
-                progress=obs.progress,
-                tracer=tracer if tracer.enabled else None,
-            )
         with tracer.span(
             f"explore:{plan.task.program.name}",
             cat="worker",
@@ -649,12 +670,11 @@ def run_suite(
                 plan.task.program,
                 plan.task.model,
                 options,
-                observer=inline_obs,
+                observer=obs,
                 root=prefix,
                 budget=plan.budget,
             ).run()
-        snapshot = inline_obs.metrics_snapshot() if obs.enabled else None
-        _complete(job, (result, snapshot, None, None))
+        _complete(job, (result, None, None, None))
 
     pool_jobs = len(specs)
     if jobs > 1 and pool_jobs:

@@ -151,7 +151,7 @@ class TestTruncatedTraces:
         assert truncated
 
     def test_fold_keeps_valid_prefix_and_marks(self, tmp_path):
-        from repro.core.parallel import _fold_worker_traces
+        from repro.suite.scheduler import _fold_worker_traces
 
         worker = tmp_path / "run.jsonl.worker0"
         self._write(
@@ -171,7 +171,7 @@ class TestTruncatedTraces:
         assert marker["worker"] == 0 and marker["kept"] == 2
 
     def test_missing_file_still_skipped(self, tmp_path):
-        from repro.core.parallel import _fold_worker_traces
+        from repro.suite.scheduler import _fold_worker_traces
 
         obs = Observer.in_memory()
         _fold_worker_traces(obs, [(0, str(tmp_path / "nope.jsonl"))])

@@ -326,7 +326,7 @@ class TestCounters:
         monkeypatch.setenv("REPRO_INCREMENTAL", "1")
         obs = Observer()
         verify(sb_program(3), "rc11", observer=obs)
-        phases = obs.metrics.phase_stats()
+        phases = obs.phase_report()
         for key in obs.metrics.counters:
             if key.startswith("relation:") and key.endswith(":incremental_hit"):
                 name = key[len("relation:"):-len(":incremental_hit")]

@@ -21,6 +21,7 @@ from repro.obs import (
     NullObserver,
     Observer,
     ProgressReporter,
+    SpanTracer,
     TraceWriter,
     format_summary,
     parse_trace,
@@ -80,11 +81,9 @@ class TestMetricsRegistry:
     def test_snapshot_shape(self):
         reg = MetricsRegistry()
         reg.inc("x")
-        with reg.phase("p"):
-            pass
         snap = reg.snapshot()
         assert snap["counters"] == {"x": 1}
-        assert "p" in snap["phases"]
+        assert set(snap) == {"counters", "gauges", "histograms"}
 
 
 class TestPhaseTimers:
@@ -95,13 +94,13 @@ class TestPhaseTimers:
             t[0] += 1.0
             return t[0]
 
-        reg = MetricsRegistry(clock=clock)
-        with reg.phase("work"):
-            pass  # enter at 1, exit at 2 → 1s
-        stat = reg.phase_stats()["work"]
-        assert stat.calls == 1
-        assert stat.total == pytest.approx(1.0)
-        assert stat.self_time == pytest.approx(1.0)
+        tracer = SpanTracer(clock=clock)  # reads t=1
+        with tracer.phase("work"):
+            pass  # enter at 2, exit at 3 → 1s
+        stat = tracer.phase_report()["work"]
+        assert stat["calls"] == 1
+        assert stat["total"] == pytest.approx(1.0)
+        assert stat["self"] == pytest.approx(1.0)
 
     def test_nesting_attributes_self_time_to_inner(self):
         t = [0.0]
@@ -110,19 +109,19 @@ class TestPhaseTimers:
             t[0] += 1.0
             return t[0]
 
-        reg = MetricsRegistry(clock=clock)
-        with reg.phase("outer"):      # enter: t=1
-            with reg.phase("inner"):  # enter: t=2
-                pass                  # exit:  t=3 → inner total/self = 1
-        # outer exit: t=4 → outer total 3, self 3 - 1 = 2
-        outer = reg.phase_stats()["outer"]
-        inner = reg.phase_stats()["inner"]
-        assert inner.total == pytest.approx(1.0)
-        assert inner.self_time == pytest.approx(1.0)
-        assert outer.total == pytest.approx(3.0)
-        assert outer.self_time == pytest.approx(2.0)
+        tracer = SpanTracer(clock=clock)  # reads t=1
+        with tracer.phase("outer"):      # enter: t=2
+            with tracer.phase("inner"):  # enter: t=3
+                pass                     # exit:  t=4 → inner total/self = 1
+        # outer exit: t=5 → outer total 3, self 3 - 1 = 2
+        outer = tracer.phase_report()["outer"]
+        inner = tracer.phase_report()["inner"]
+        assert inner["total"] == pytest.approx(1.0)
+        assert inner["self"] == pytest.approx(1.0)
+        assert outer["total"] == pytest.approx(3.0)
+        assert outer["self"] == pytest.approx(2.0)
         # sum of self times never exceeds the outermost total
-        assert inner.self_time + outer.self_time == pytest.approx(outer.total)
+        assert inner["self"] + outer["self"] == pytest.approx(outer["total"])
 
     def test_sibling_phases_both_charged_to_parent(self):
         t = [0.0]
@@ -131,24 +130,24 @@ class TestPhaseTimers:
             t[0] += 1.0
             return t[0]
 
-        reg = MetricsRegistry(clock=clock)
-        with reg.phase("parent"):
-            with reg.phase("a"):
+        tracer = SpanTracer(clock=clock)
+        with tracer.phase("parent"):
+            with tracer.phase("a"):
                 pass
-            with reg.phase("b"):
+            with tracer.phase("b"):
                 pass
-        parent = reg.phase_stats()["parent"]
-        assert parent.self_time == pytest.approx(
-            parent.total
-            - reg.phase_stats()["a"].total
-            - reg.phase_stats()["b"].total
+        parent = tracer.phase_report()["parent"]
+        assert parent["self"] == pytest.approx(
+            parent["total"]
+            - tracer.phase_report()["a"]["total"]
+            - tracer.phase_report()["b"]["total"]
         )
 
     def test_phase_report_is_json_ready(self):
-        reg = MetricsRegistry()
-        with reg.phase("p"):
+        obs = Observer()
+        with obs.phase("p"):
             pass
-        json.dumps(reg.phase_report())  # must not raise
+        json.dumps(obs.phase_report())  # must not raise
 
 
 class TestTraceRoundTrip:

@@ -541,6 +541,17 @@ class TestCachePrune:
         self._fill(cache, 3)
         assert len(cache) <= 1
 
+    def test_store_keeps_the_entry_it_wrote(self, tmp_path):
+        # a 1-byte cap is below any entry: pruning after a store must
+        # still leave the entry that store just wrote
+        cache = ResultCache(str(tmp_path), max_mb=1 / 1024 / 1024)
+        result = verify(get_litmus("SB").program, "sc")
+        cache.store("older", result, task={"id": "older"})
+        path = cache.store("fresh", result, task={"id": "fresh"})
+        assert os.path.exists(path)
+        assert cache.keys() == ["fresh"]
+        assert len(cache) == 1
+
     def test_env_var_sets_the_cap(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_SUITE_CACHE_MAX_MB", "0.5")
         cache = ResultCache(str(tmp_path))

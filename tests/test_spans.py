@@ -30,7 +30,6 @@ from repro.obs import (
     validate_perfetto,
     write_spans,
 )
-from repro.obs.metrics import MetricsRegistry
 from repro.suite import litmus_matrix, run_suite
 
 NAMES = ["SB", "MP", "LB", "CoRR"]
@@ -193,26 +192,45 @@ class TestNullTracer:
         assert NULL_TRACER.enabled is False
 
     def test_phase_timers_skip_span_work_when_disabled(self):
-        registry = MetricsRegistry()
-        assert registry.tracer is NULL_TRACER
-        with registry.phase("alpha"):
+        obs = Observer()
+        assert obs.tracer is NULL_TRACER
+        with obs.phase("alpha"):
             pass
-        assert registry.phase_report()["alpha"]["calls"] == 1
+        assert obs.phase_report()["alpha"]["calls"] == 1
 
-    def test_phase_timers_co_emit_spans_when_enabled(self):
+    def test_phases_finish_as_one_span_per_parent_and_name(self):
         tracer = SpanTracer()
-        registry = MetricsRegistry(tracer=tracer)
-        with registry.phase("alpha"):
-            with registry.phase("beta"):
-                pass
+        obs = Observer(tracer=tracer)
+        with tracer.span("run") as run:
+            for _ in range(3):
+                with obs.phase("alpha"):
+                    with obs.phase("beta"):
+                        pass
+            # still open: nothing finished before the span closes
+            assert tracer.snapshot() == []
         spans = tracer.snapshot()
-        assert [s["name"] for s in spans] == ["beta", "alpha"]
-        assert all(s["cat"] == "phase" for s in spans)
-        assert spans[0]["parent_id"] == spans[1]["span_id"]
-        # the phase report is unaffected by co-emission
-        report = registry.phase_report()
-        assert report["alpha"]["calls"] == 1
-        assert report["beta"]["calls"] == 1
+        assert [s["name"] for s in spans] == ["beta", "alpha", "run"]
+        beta, alpha, _ = spans
+        assert alpha["cat"] == beta["cat"] == "phase"
+        assert alpha["parent_id"] == run["span_id"]
+        assert beta["parent_id"] == alpha["span_id"]
+        assert alpha["attrs"]["calls"] == beta["attrs"]["calls"] == 3
+        assert alpha["attrs"]["self_s"] == pytest.approx(
+            alpha["dur"] - beta["dur"]
+        )
+        # phases inside a span leave with it; the root keeps none
+        assert obs.phase_report() == {}
+
+    def test_phase_scope_reports_its_own_phases(self):
+        obs = Observer()
+        with obs.phase("before"):
+            pass
+        with obs.phase_scope() as report:
+            with obs.phase("inside"):
+                pass
+        assert list(report) == ["inside"]
+        # on exit the scope's phases join the enclosing frame
+        assert set(obs.phase_report()) == {"before", "inside"}
 
     def test_observer_defaults_to_null_tracer(self):
         assert Observer().tracer is NULL_TRACER
@@ -397,6 +415,23 @@ class TestFlameAndSummary:
         ]
         text = format_flame(spans, min_frac=0.1)
         assert "big" in text and "tiny" not in text
+
+    def test_aggregated_records_count_their_calls(self):
+        # records as an aggregating tracer writes them: one node per
+        # (parent, name), its call count in attrs.calls
+        outer = make_span("explore", trace_id="t", start=0.0, dur=1.0,
+                          cat="worker", attrs={"calls": 1})
+        inner = make_span("replay", trace_id="t", start=0.1, dur=0.4,
+                          cat="phase", attrs={"calls": 7, "self_s": 0.4})
+        inner["parent_id"] = outer["span_id"]
+        root = flame_tree([outer, inner])
+        node = root.children["explore"]
+        assert node.calls == 1
+        assert node.children["replay"].calls == 7
+        assert node.self_time == pytest.approx(0.6)
+        summary = span_summary([outer, inner])
+        assert summary["replay"]["calls"] == 7
+        assert summary["explore"]["calls"] == 1
 
     def test_span_summary_families(self):
         spans = [
