@@ -29,7 +29,7 @@ import time
 
 from ..events import FenceLabel, Label, ReadLabel, WriteLabel
 from ..graphs import ExecutionGraph, canonical_key, final_state
-from ..lang import Program, ReplayStatus, ThreadReplay, replay
+from ..lang import Program, ReplayStatus, ThreadReplay, guard_assumes, replay
 from ..graphs.incremental import configure_from_env
 from ..models import MemoryModel, get_model
 from ..obs import NULL_OBSERVER
@@ -55,7 +55,11 @@ class Explorer:
         root: ExecutionGraph | None = None,
         budget=None,
     ) -> None:
-        self.program = program
+        #: the program as explored: ``program`` with early assume
+        #: guards (repro.lang.guards), which cut blocked branches short
+        #: without changing any execution.  Replay, revisit validation
+        #: and splitting all run on it.
+        self.program = guard_assumes(program)
         self.model = get_model(model) if isinstance(model, str) else model
         self.options = options or ExplorationOptions()
         self.obs = observer
@@ -378,7 +382,7 @@ class Explorer:
                 raise _SearchLimit
             return
         if any(s is ReplayStatus.BLOCKED for s in statuses.values()):
-            self._record_blocked()
+            self._record_blocked(replays)
             return
         key = None
         if (
@@ -437,9 +441,26 @@ class Explorer:
         if self._budget is not None and self._budget.limit_hit:
             raise _SearchLimit
 
-    def _record_blocked(self) -> None:
+    def _record_blocked(
+        self, replays: dict[int, ThreadReplay] | None = None
+    ) -> None:
+        """Count a blocked graph: a completion with a blocked thread
+        (``replays``), or a dead end where no extension was consistent.
+        Observed runs also count it by cause, so the ``blocked:*``
+        counters sum to ``result.blocked``: ``blocked:t<tid>:<site>``
+        names the lowest blocked thread's assume site, and
+        ``blocked:dead-end`` the dead ends."""
         self.result.blocked += 1
         if self._timed:
+            cause = "blocked:dead-end"
+            if replays is not None:
+                tid, rep = next(
+                    (tid, rep)
+                    for tid, rep in replays.items()
+                    if rep.status is ReplayStatus.BLOCKED
+                )
+                cause = f"blocked:t{tid}:{rep.site}"
+            self.obs.inc(cause)
             if self.obs.trace_enabled:
                 self.obs.emit("graph_blocked")
             self.obs.tick(

@@ -2,6 +2,7 @@
 
 from .builder import BlockBuilder, ProgramBuilder, ThreadBuilder
 from .expr import BinOp, Const, EvalError, Expr, Reg, Tainted, lift
+from .guards import guard_assumes
 from .interpreter import ReplayStatus, ThreadReplay, replay
 from .mappings import compile_to, mapping_targets
 from .program import Program
@@ -34,6 +35,7 @@ __all__ = [
     "Expr",
     "Fai",
     "Fence",
+    "guard_assumes",
     "If",
     "Load",
     "LocExpr",

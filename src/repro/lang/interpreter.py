@@ -30,6 +30,7 @@ from ..events import (
     WriteLabel,
 )
 from .expr import EvalError, Tainted
+from .guards import statement_sites
 from .stmt import (
     Assert,
     Assign,
@@ -49,6 +50,10 @@ from .stmt import (
 
 class _Blocked(Exception):
     """Internal: an Assume failed."""
+
+    def __init__(self, stmt: Assume) -> None:
+        super().__init__()
+        self.stmt = stmt
 
 
 class _Failed(Exception):
@@ -83,6 +88,10 @@ class ThreadReplay:
     pending: ReadLabel | None = None
     error: str | None = None
     registers: dict[str, Value] = field(default_factory=dict)
+    #: when BLOCKED: the blocking statement's site in the thread (see
+    #: :func:`repro.lang.guards.statement_sites`), e.g. ``"4"`` or
+    #: ``"4:guard"``
+    site: str | None = None
 
     @property
     def event_count(self) -> int:
@@ -147,9 +156,10 @@ class _ThreadRun:
                 yield from self._block(st.body)
         elif isinstance(st, Assume):
             cond = self._eval(st.cond)
-            self.ctrl |= cond.taint
+            if st.taint:
+                self.ctrl |= cond.taint
             if not cond.value:
-                raise _Blocked
+                raise _Blocked(st)
         elif isinstance(st, Assert):
             cond = self._eval(st.cond)
             self.ctrl |= cond.taint
@@ -335,7 +345,10 @@ def _replay_uncached(
             tuple(labels),
             registers={name: t.value for name, t in run.env.items()},
         )
-    except _Blocked:
-        return ThreadReplay(ReplayStatus.BLOCKED, tuple(labels))
+    except _Blocked as exc:
+        sites = statement_sites(tuple(stmts))
+        return ThreadReplay(
+            ReplayStatus.BLOCKED, tuple(labels), site=sites.get(exc.stmt)
+        )
     except _Failed as exc:
         return ThreadReplay(ReplayStatus.ERROR, tuple(labels), error=exc.message)

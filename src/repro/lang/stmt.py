@@ -120,9 +120,15 @@ class Repeat(Stmt):
 @dataclass(frozen=True)
 class Assume(Stmt):
     """Block this execution branch unless ``cond`` holds (spin-loop
-    abstraction: the standard SMC encoding of await loops)."""
+    abstraction: the standard SMC encoding of await loops).
+
+    ``taint=False`` marks a *guard* inserted by
+    :func:`repro.lang.guards.guard_assumes`: it blocks like any assume
+    but adds no control dependency to the statements after it.
+    """
 
     cond: Expr
+    taint: bool = True
 
 
 @dataclass(frozen=True)

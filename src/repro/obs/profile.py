@@ -123,7 +123,16 @@ def memo_rates(counters: dict) -> dict[str, dict]:
 def format_profile(snapshot: dict, top: int = 15) -> str:
     """Render a metrics snapshot as the ``--stats`` profile section."""
     lines = ["profile:"]
-    counters = snapshot.get("counters", {})
+    counters = dict(snapshot.get("counters", {}))
+    blocked = {
+        name: counters.pop(name) for name in list(counters)
+        if name.startswith("blocked:")
+    }
+    if blocked:
+        lines.append("  blocked graphs by cause (lowest blocked thread):")
+        width = max(len(name) for name in blocked)
+        for name, value in sorted(blocked.items(), key=lambda kv: (-kv[1], kv[0])):
+            lines.append(f"    {name:<{width}}  {value:g}")
     if counters:
         lines.append("  counters (top by value):")
         ranked = sorted(counters.items(), key=lambda kv: (-kv[1], kv[0]))
